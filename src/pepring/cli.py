@@ -228,14 +228,53 @@ def _sample_one(params, target, length, guidance, schedule, context, seed_key):
     return DF.sample(params, target, length, guidance, schedule, rng, context=context)
 
 
+def _openblas_function(verb: str):
+    """OpenBLAS's `<verb>_num_threads` as numpy loaded it, or None.
+
+    numpy >= 2 wheels bundle OpenBLAS with the `scipy_` prefix and the
+    `64_` suffix of its ILP64 build; other builds export the plain names.
+    A handle on numpy's core extension also resolves its dependencies'
+    symbols, so this finds whichever BLAS numpy linked against.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    lib = ctypes.CDLL(core.__file__)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: the workers are the parallelism, so BLAS gets one thread.
+
+    With OpenBLAS's default of one thread per core, N workers would run
+    N sets of busy-waiting BLAS threads on the same cores. One thread does
+    not change results: OpenBLAS splits a product across threads by blocks
+    of the output, not along the summed axis, so every output element is
+    summed in the same order as in the serial run.
+    """
+    setter = _openblas_function("set")
+    if setter is not None:
+        setter(1)
+
+
 def cmd_sample(args) -> int:
+    if args.num < 1:
+        raise UsageError("--num must be positive")
+    if args.workers < 1:
+        raise UsageError("--workers must be positive")
     params = D.load_checkpoint(args.checkpoint)
     cfg = CF.resolve(
         D.load_run_config(args.checkpoint),
         CF.parse_overrides(getattr(args, "set", None)),
     )
-    if args.num < 1:
-        raise UsageError("--num must be positive")
     target = _target_from_args(args, args.length, cfg)
     guidance = CF.guidance_config(cfg, mode=args.mode, weight=args.w)
     schedule = CF.schedule(cfg)
@@ -248,10 +287,11 @@ def cmd_sample(args) -> int:
     (out / "config.txt").write_text(CF.format_config(cfg), encoding="utf-8")
     t0 = time.perf_counter()
     seed_keys = [[args.seed, i] for i in range(args.num)]
-    if args.workers > 1:
+    workers = min(args.workers, args.num)
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(args.workers) as pool:
+        with mp.get_context("fork").Pool(workers, initializer=_one_blas_thread) as pool:
             graphs = pool.starmap(
                 _sample_one,
                 [(params, target, args.length, guidance, schedule, None, k) for k in seed_keys],
@@ -348,13 +388,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _command_arg_names(command: str) -> set[str]:
+    """Every argument name the sub-parser of `command` sets."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
 def cmd_rerun(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{args.manifest} is not a manifest: top level is a {type(doc).__name__}")
     command = doc.get("command")
     if command not in COMMANDS:
         raise UsageError(f"manifest names unknown command {command!r}")
-    stored = dict(doc["args"])
+    if doc.get("schema_versions") != SCHEMA_VERSIONS:
+        raise UsageError(
+            f"manifest schema versions {doc.get('schema_versions')} differ from "
+            f"this program's {SCHEMA_VERSIONS}"
+        )
+    stored = doc.get("args")
+    if not isinstance(stored, dict):
+        raise UsageError("manifest args are not an object")
+    missing = sorted(_command_arg_names(command) - set(stored))
+    if missing:
+        raise UsageError(f"manifest args for {command!r} lack {missing}")
     if args.out:
         if "out" not in stored:
             raise UsageError(f"command {command!r} takes no --out to override")

@@ -353,23 +353,34 @@ def _read_checkpoint_doc(path) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise CheckpointError(f"not a checkpoint file: {err.msg}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"not a checkpoint file: top level is a {type(doc).__name__}")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(f"unsupported schema version {doc.get('schema_version')}")
     return doc
 
 
 def load_run_config(path) -> dict:
-    return dict(_read_checkpoint_doc(path).get("run_config", {}))
+    run_config = _read_checkpoint_doc(path).get("run_config", {})
+    if not isinstance(run_config, dict):
+        raise CheckpointError("checkpoint run_config is not an object")
+    return dict(run_config)
 
 
 def load_checkpoint(path) -> DenoiserParams:
     doc = _read_checkpoint_doc(path)
-    cfg = DenoiserConfig(**doc["config"])
-    arrays = {}
-    for name, spec in doc["arrays"].items():
-        raw = base64.b64decode(spec["data"])
-        arr = np.frombuffer(raw, dtype=spec["dtype"]).reshape(spec["shape"]).copy()
-        arrays[name] = arr
+    try:
+        cfg = DenoiserConfig(**doc["config"])
+        arrays = {}
+        for name, spec in doc["arrays"].items():
+            raw = base64.b64decode(spec["data"])
+            arr = np.frombuffer(raw, dtype=spec["dtype"]).reshape(spec["shape"]).copy()
+            arrays[name] = arr
+        trainable = tuple(doc["trainable"])
+    except KeyError as err:
+        raise CheckpointError(f"checkpoint lacks field {err}") from None
+    except (TypeError, ValueError, AttributeError) as err:
+        raise CheckpointError(f"malformed checkpoint: {err}") from None
     expected = dict(parameter_shapes(cfg))
     if set(arrays) != set(expected):
         raise CheckpointError("checkpoint arrays do not match the declared layout")
@@ -378,4 +389,4 @@ def load_checkpoint(path) -> DenoiserParams:
             raise CheckpointError(
                 f"array {name} has shape {arrays[name].shape}, expected {shape}"
             )
-    return DenoiserParams(config=cfg, arrays=arrays, trainable=tuple(doc["trainable"]))
+    return DenoiserParams(config=cfg, arrays=arrays, trainable=trainable)

@@ -1,10 +1,14 @@
+import base64
 import json
+import multiprocessing.pool
 
 import numpy as np
 import pytest
 
 from pepring import cli
+from pepring import config as CF
 from pepring import constraints as C
+from pepring import denoiser as D
 from pepring import graph as G
 
 TINY_TRAIN = [
@@ -31,6 +35,15 @@ def checkpoint(tmp_path, dataset):
     out = tmp_path / "model"
     assert run("train", "--data", dataset, "--out", out, *TINY_TRAIN) == 0
     return out / "checkpoint.json"
+
+
+@pytest.fixture
+def wide_checkpoint(tmp_path):
+    """Default widths (hidden 32, 32 RBF channels) on a 10-step schedule."""
+    cfg = CF.resolve(CF.parse_overrides(["t_steps=10"]))
+    path = tmp_path / "wide.json"
+    D.save_checkpoint(D.init_params(CF.denoiser_config(cfg), 4), path, run_config=cfg)
+    return path
 
 
 class TestGenData:
@@ -151,6 +164,79 @@ class TestSample:
         assert run(*common, "--workers", 2, "--out", b) == 0
         assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
 
+    def test_worker_pool_matches_serial_where_blas_threads(self, tmp_path, wide_checkpoint):
+        # At n=25 and default widths the GEMMs are large enough for OpenBLAS
+        # to thread in the serial run, while each pool worker uses one thread.
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        common = ["sample", "--checkpoint", wide_checkpoint, "--strategy", "head-to-tail",
+                  "--mode", "energy", "--length", 25, "--num", 2, "--seed", 9]
+        assert run(*common, "--workers", 1, "--out", a) == 0
+        assert run(*common, "--workers", 2, "--out", b) == 0
+        assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
+
+    def test_pool_workers_use_one_blas_thread(self, tmp_path, checkpoint, monkeypatch):
+        get_threads = cli._openblas_function("get")
+        if get_threads is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        parent_threads = get_threads()
+        real_sample = cli.DF.sample
+
+        def sample_checking_threads(*args, **kwargs):
+            # runs inside the forked worker, which inherits this patch
+            assert get_threads() == 1
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli.DF, "sample", sample_checking_threads)
+        assert run("sample", "--checkpoint", checkpoint, "--strategy", "head-to-tail",
+                   "--length", 6, "--num", 2, "--workers", 2, "--out", tmp_path / "s") == 0
+        assert get_threads() == parent_threads
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, checkpoint, capsys, workers):
+        assert run("sample", "--checkpoint", checkpoint, "--strategy", "head-to-tail",
+                   "--length", 6, "--workers", workers, "--out", tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers") and err.count("\n") == 1
+
+    def test_pool_no_larger_than_num(self, tmp_path, checkpoint, monkeypatch):
+        sizes = []
+        real_init = multiprocessing.pool.Pool.__init__
+
+        def recording_init(pool, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            real_init(pool, processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
+        assert run("sample", "--checkpoint", checkpoint, "--strategy", "head-to-tail",
+                   "--length", 6, "--num", 2, "--workers", 8, "--out", tmp_path / "s") == 0
+        assert sizes == [2]
+
+
+def _corrupt_checkpoint(doc, case):
+    if case == "no-config":
+        del doc["config"]
+    elif case == "unknown-config-field":
+        doc["config"]["depth"] = 3
+    elif case == "corrupt-array":
+        name = next(iter(doc["arrays"]))
+        doc["arrays"][name]["data"] = base64.b64encode(b"\x00" * 7).decode("ascii")
+    elif case == "run-config-list":
+        doc["run_config"] = list(doc["run_config"])
+    elif case == "top-level-list":
+        doc = [doc]
+    return doc
+
+
+@pytest.mark.parametrize("case", ["no-config", "unknown-config-field", "corrupt-array",
+                                  "run-config-list", "top-level-list"])
+def test_malformed_checkpoint_is_usage_error(tmp_path, checkpoint, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_corrupt_checkpoint(json.loads(checkpoint.read_text()), case)))
+    assert run("sample", "--checkpoint", bad, "--strategy", "head-to-tail",
+               "--length", 6, "--out", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCheck:
     def write_structures(self, tmp_path, graphs):
@@ -239,6 +325,27 @@ class TestRerun:
         out2 = tmp_path / "s-replay"
         assert run("rerun", "--manifest", out / "manifest.json", "--out", out2) == 0
         assert (out / "samples.jsonl").read_bytes() == (out2 / "samples.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("case, named", [
+        ("missing-arg", "seed"), ("schema-mismatch", "99"), ("top-level-list", "list")])
+    def test_malformed_manifest_is_usage_error(self, tmp_path, checkpoint, capsys, case, named):
+        out = tmp_path / "s"
+        assert run("sample", "--checkpoint", checkpoint, "--strategy", "head-to-tail",
+                   "--length", 6, "--num", 1, "--out", out) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        if case == "missing-arg":
+            del doc["args"]["seed"]
+        elif case == "schema-mismatch":
+            doc["schema_versions"]["manifest"] = 99
+        else:
+            doc = [doc]
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("rerun", "--manifest", bad, "--out", tmp_path / "replay") == 2
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+        assert not (tmp_path / "replay").exists()
 
     def test_unknown_manifest_command(self, tmp_path):
         bad = tmp_path / "manifest.json"
