@@ -234,15 +234,29 @@ def _openblas_function(verb: str):
     numpy >= 2 wheels bundle OpenBLAS with the `scipy_` prefix and the
     `64_` suffix of its ILP64 build; other builds export the plain names.
     A handle on numpy's core extension also resolves its dependencies'
-    symbols, so this finds whichever BLAS numpy linked against.
+    symbols, so this finds whichever BLAS numpy linked against. numpy 1.26
+    ships `numpy._core` as pure-Python stubs, so the extension is the
+    first of the two core modules whose file is a shared library. Any
+    failure to open it gives None: this runs in pool initializers, where
+    an exception would kill each worker as it starts.
     """
     import ctypes
+    import importlib
+    from importlib.machinery import EXTENSION_SUFFIXES
 
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            path = getattr(importlib.import_module(name), "__file__", None)
+        except ImportError:
+            continue
+        if path and path.endswith(tuple(EXTENSION_SUFFIXES)):
+            break
+    else:
+        return None
     try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as core
-    lib = ctypes.CDLL(core.__file__)
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
     for prefix in ("scipy_openblas_", "openblas_"):
         for suffix in ("64_", ""):
             fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)

@@ -1,4 +1,5 @@
 import base64
+import importlib
 import json
 import multiprocessing.pool
 
@@ -179,6 +180,9 @@ class TestSample:
         if get_threads is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         parent_threads = get_threads()
+        if parent_threads == 1:
+            pytest.skip("OpenBLAS already runs one thread here, so the worker's count "
+                        "cannot show what the initializer did")
         real_sample = cli.DF.sample
 
         def sample_checking_threads(*args, **kwargs):
@@ -190,6 +194,20 @@ class TestSample:
         assert run("sample", "--checkpoint", checkpoint, "--strategy", "head-to-tail",
                    "--length", 6, "--num", 2, "--workers", 2, "--out", tmp_path / "s") == 0
         assert get_threads() == parent_threads
+
+    @pytest.mark.parametrize("stub", ["_multiarray_umath.py", "not_a_library.so"])
+    def test_blas_initializer_without_a_library_does_nothing(self, tmp_path, monkeypatch, stub):
+        # numpy 1.26's numpy._core holds .py stubs; a file that is no library
+        # makes ctypes raise OSError. Either way there is no setter to call.
+        (tmp_path / stub).write_text("not a shared library\n")
+        for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+            try:
+                module = importlib.import_module(name)
+            except ImportError:
+                continue
+            monkeypatch.setattr(module, "__file__", str(tmp_path / stub))
+        assert cli._openblas_function("set") is None
+        assert cli._one_blas_thread() is None
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, checkpoint, capsys, workers):
