@@ -181,9 +181,14 @@ def cmd_gen_data(args) -> int:
         raise UsageError("count must be positive")
     weights = None
     if args.type_weights:
-        weights = np.array([float(w) for w in args.type_weights.split(",")])
+        try:
+            weights = np.array([float(w) for w in args.type_weights.split(",")])
+        except ValueError:
+            raise UsageError(f"--type-weights must be numbers, got {args.type_weights!r}") from None
         if weights.size != G.N_TYPES:
             raise UsageError(f"--type-weights needs {G.N_TYPES} comma-separated values")
+        if not (np.all(np.isfinite(weights)) and np.all(weights >= 0) and weights.sum() > 0):
+            raise UsageError("--type-weights must be finite, non-negative and not all zero")
         weights = weights / weights.sum()
     out = _prepare_out(args)
     started = _utc_now()
@@ -203,16 +208,17 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolved_config(args)
+    train_cfg, schedule, net = CF.train_config(cfg), CF.schedule(cfg), CF.denoiser_config(cfg)
     data = G.read_structures(args.data)
+    if not data:
+        raise UsageError(f"no structures in {args.data}")
     out = _prepare_out(args)
     started = _utc_now()
     outputs = ["checkpoint.json", "loss.txt", "config.txt"]
     write_manifest(out, "train", args, cfg=cfg, outputs=outputs, started=started)
     (out / "config.txt").write_text(CF.format_config(cfg), encoding="utf-8")
     t0 = time.perf_counter()
-    params, losses = DF.train(
-        data, CF.train_config(cfg), CF.schedule(cfg), CF.denoiser_config(cfg)
-    )
+    params, losses = DF.train(data, train_cfg, schedule, net)
     D.save_checkpoint(params, out / "checkpoint.json", run_config=cfg)
     with open(out / "loss.txt", "w", encoding="utf-8", newline="\n") as fh:
         for epoch, loss in enumerate(losses):
@@ -223,9 +229,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sample_one(params, target, length, guidance, schedule, context, seed_key):
+def _sample_one(params, target, length, guidance, schedule, seed_key):
     rng = np.random.default_rng(seed_key)
-    return DF.sample(params, target, length, guidance, schedule, rng, context=context)
+    return DF.sample(params, target, length, guidance, schedule, rng)
 
 
 def _openblas_function(verb: str):
@@ -284,6 +290,8 @@ def cmd_sample(args) -> int:
         raise UsageError("--num must be positive")
     if args.workers < 1:
         raise UsageError("--workers must be positive")
+    if not 4 <= args.length <= 25:
+        raise UsageError(f"--length must be in [4, 25], got {args.length}")
     params = D.load_checkpoint(args.checkpoint)
     cfg = CF.resolve(
         D.load_run_config(args.checkpoint),
@@ -292,6 +300,11 @@ def cmd_sample(args) -> int:
     target = _target_from_args(args, args.length, cfg)
     guidance = CF.guidance_config(cfg, mode=args.mode, weight=args.w)
     schedule = CF.schedule(cfg)
+    if schedule.t_steps != params.config.t_steps:
+        raise UsageError(
+            f"t_steps {schedule.t_steps} does not match the checkpoint's "
+            f"{params.config.t_steps}-step network"
+        )
     out = _prepare_out(args)
     started = _utc_now()
     extra = {"target_constraint": C.canonical_text(target).splitlines()}
@@ -308,11 +321,11 @@ def cmd_sample(args) -> int:
         with mp.get_context("fork").Pool(workers, initializer=_one_blas_thread) as pool:
             graphs = pool.starmap(
                 _sample_one,
-                [(params, target, args.length, guidance, schedule, None, k) for k in seed_keys],
+                [(params, target, args.length, guidance, schedule, k) for k in seed_keys],
             )
     else:
         graphs = [
-            _sample_one(params, target, args.length, guidance, schedule, None, k)
+            _sample_one(params, target, args.length, guidance, schedule, k)
             for k in seed_keys
         ]
     G.write_structures(out / "samples.jsonl", graphs)
@@ -535,6 +548,7 @@ _USAGE_ERRORS = (
     D.CheckpointError,
     OSError,
     json.JSONDecodeError,
+    UnicodeError,
 )
 
 

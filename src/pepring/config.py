@@ -125,8 +125,17 @@ def format_config(cfg: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _built(make, *args, **kwargs):
+    """`make(*args, **kwargs)`, its ValueError re-raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def denoiser_config(cfg: dict[str, object]) -> DenoiserConfig:
-    return DenoiserConfig(
+    return _built(
+        DenoiserConfig,
         latent_dim=cfg["latent_dim"],
         hidden=cfg["hidden"],
         layers=cfg["layers"],
@@ -141,7 +150,8 @@ def denoiser_config(cfg: dict[str, object]) -> DenoiserConfig:
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
+    return _built(
+        TrainConfig,
         p_drop_type=cfg["p_drop_type"],
         p_drop_dist=cfg["p_drop_dist"],
         learning_rate=cfg["learning_rate"],
@@ -153,7 +163,7 @@ def train_config(cfg: dict[str, object]) -> TrainConfig:
 
 
 def schedule(cfg: dict[str, object]) -> DiffusionSchedule:
-    return DiffusionSchedule.linear(cfg["t_steps"], cfg["beta_start"], cfg["beta_end"])
+    return _built(DiffusionSchedule.linear, cfg["t_steps"], cfg["beta_start"], cfg["beta_end"])
 
 
 def link_lengths(cfg: dict[str, object]) -> LinkLengths:
@@ -167,7 +177,8 @@ def link_lengths(cfg: dict[str, object]) -> LinkLengths:
 
 
 def guidance_config(cfg: dict[str, object], mode=None, weight=None) -> GuidanceConfig:
-    return GuidanceConfig(
+    return _built(
+        GuidanceConfig,
         mode=mode if mode is not None else cfg["guidance_mode"],
         weight=weight if weight is not None else cfg["guidance_weight"],
         energy_scale=cfg["energy_scale"],

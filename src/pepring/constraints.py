@@ -278,9 +278,6 @@ class SatisfactionReport:
     entries: tuple[CheckEntry, ...]
     passed: bool
 
-    def failures(self) -> tuple[CheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.passed)
-
 
 def check_satisfaction(
     g: GeometricGraph, pair: ConstraintPair, tol: float = DEFAULT_TOLERANCE

@@ -48,6 +48,7 @@ class DenoiserConfig:
             raise ValueError("t_embed_dim must be even")
         if self.t_steps < 1:
             raise ValueError("t_steps must be >= 1")
+        self.rbf_spec()  # raises on a degenerate basis
 
     def rbf_spec(self) -> RbfSpec:
         return RbfSpec(self.rbf_channels, self.rbf_d_min, self.rbf_d_max)
@@ -271,13 +272,12 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
     coord_agg_full = _aggregation(total, recv_full, 1.0 / (total - 1), zero_rows=context_rows)
 
     rbf = cfg.rbf_spec()
-    adapter_edges = inp.signals.edges
-    if adapter_edges:
-        recv_a = np.array([e.i for e in adapter_edges] + [e.j for e in adapter_edges])
-        send_a = np.array([e.j for e in adapter_edges] + [e.i for e in adapter_edges])
-        vec_a = np.concatenate([np.stack([e.vec for e in adapter_edges])] * 2, axis=0)
-        # each edge's target distance, read back from its RBF vector
-        feat_a = (rbf.invert(vec_a)[:, None], vec_a)
+    sig = inp.signals
+    constrained = len(sig.edges) > 0
+    if constrained:
+        # both directions of each constrained edge: (i, j) rows, then (j, i)
+        recv_a, send_a = np.concatenate([sig.edges, sig.edges[:, ::-1]]).T
+        feat_a = (np.tile(sig.edge_dist, 2)[:, None], np.tile(sig.edge_rbf, (2, 1)))
         node_agg_a = _aggregation(total, recv_a, 1.0)
         coord_agg_a = _aggregation(total, recv_a, 1.0, zero_rows=context_rows)
         incident = np.zeros((total, 1))
@@ -286,7 +286,7 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
 
     x_in = x
     for layer in range(cfg.layers):
-        if adapter_edges:
+        if constrained:
             h, x = _message_pass(
                 tape, getp, f"layers.{layer}.adapter", h, x, recv_a, send_a,
                 node_agg_a, coord_agg_a, edge_feat=feat_a, node_mask=mask_a,

@@ -298,33 +298,6 @@ def trace_distance_energy(tape, coords: T.Var, pair: ConstraintPair) -> T.Var:
     return total
 
 
-def energy_of(pair: ConstraintPair, g: GeometricGraph) -> float:
-    """Constraint-violation energy: zero exactly when the graph satisfies it.
-
-    Distance entries contribute their squared deviation; type entries
-    contribute the squared complement of the required type's probability,
-    which for a hard-typed graph is the 0/1 mismatch indicator.
-    """
-    n = g.n_peptide
-    if pair.max_node() >= n:
-        raise ValueError(f"constraint references node {pair.max_node()}, graph has {n}")
-    x = g.peptide_coords
-    total = 0.0
-    for i, j, d in pair.dists.entries:
-        total += (float(np.linalg.norm(x[i] - x[j])) - d) ** 2
-    for node, want in pair.types.entries:
-        total += 0.0 if int(g.peptide_types[node]) == want else 1.0
-    return total
-
-
-def energy_coordinate_gradient(pair: ConstraintPair, g: GeometricGraph) -> np.ndarray:
-    """Gradient of the energy with respect to the peptide coordinates."""
-    tape = T.Tape()
-    coords = tape.leaf(g.peptide_coords)
-    adjoints = T.backward(tape, trace_distance_energy(tape, coords, pair))
-    return T.gradient(adjoints, coords)
-
-
 def latent_energy_gradient(pair, z, params):
     """Violation energy of a latent graph, with its gradient.
 
@@ -384,14 +357,13 @@ def sample(
     rng: np.random.Generator,
     context: GeometricGraph | None = None,
     noise=None,
-    latent_clip: float = LATENT_CLIP,
 ) -> GeometricGraph:
     """Reverse diffusion toward a constraint target.
 
     `noise` may override the Gaussian source (a callable shape -> array);
     the default draws from `rng`. All nodes of `context`, when given, are
-    treated as fixed conditioning nodes. `latent_clip` bounds each
-    reverse step (0 disables); it is inactive on healthy trajectories.
+    treated as fixed conditioning nodes. Each reverse step is bounded by
+    `LATENT_CLIP`, which is inactive on healthy trajectories.
     """
     cfg = params.config
     if not 4 <= n_residues <= 25:
@@ -435,10 +407,9 @@ def sample(
             eqv_mean = eqv_mean + sigma * _centered(noise(z.eqv.shape))
         if not (np.all(np.isfinite(inv_mean)) and np.all(np.isfinite(eqv_mean))):
             raise RuntimeError(f"non-finite latent at reverse step {t}")
-        if latent_clip:
-            inv_mean = np.clip(inv_mean, -latent_clip, latent_clip)
-            if np.max(np.abs(eqv_mean)) > latent_clip:
-                eqv_mean = _centered(np.clip(eqv_mean, -latent_clip, latent_clip))
+        inv_mean = np.clip(inv_mean, -LATENT_CLIP, LATENT_CLIP)
+        if np.max(np.abs(eqv_mean)) > LATENT_CLIP:
+            eqv_mean = _centered(np.clip(eqv_mean, -LATENT_CLIP, LATENT_CLIP))
         z = z.replace(inv=inv_mean, eqv=eqv_mean)
 
     decoded = decode_latent(z, params.codec)

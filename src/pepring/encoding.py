@@ -11,33 +11,32 @@ signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintPair, DistanceConstraint, TypeConstraint
+from .constraints import ConstraintPair, TypeConstraint
 from .graph import N_TYPES
 
 
 @dataclass(frozen=True)
 class RbfSpec:
-    """Evenly spaced Gaussian bumps over a distance range."""
+    """Evenly spaced Gaussian bumps over a distance range.
+
+    Each bump's width matches the center spacing: gamma = 1 / (2 spacing^2).
+    """
 
     channels: int = 32
     d_min: float = 0.0
     d_max: float = 20.0
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.channels < 2:
             raise ValueError("need at least 2 RBF channels")
         if not self.d_max > self.d_min:
             raise ValueError("d_max must exceed d_min")
-        if self.gamma is None:
-            spacing = (self.d_max - self.d_min) / (self.channels - 1)
-            object.__setattr__(self, "gamma", 1.0 / (2.0 * spacing * spacing))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        spacing = (self.d_max - self.d_min) / (self.channels - 1)
+        object.__setattr__(self, "gamma", 1.0 / (2.0 * spacing * spacing))
         centers = np.linspace(self.d_min, self.d_max, self.channels)
         centers.setflags(write=False)
         object.__setattr__(self, "_centers", centers)
@@ -46,62 +45,36 @@ class RbfSpec:
     def centers(self) -> np.ndarray:
         return self._centers
 
-    def lift(self, distance: float) -> tuple[np.ndarray, bool]:
-        """RBF vector for one distance; clamps out-of-range values and flags it."""
-        clamped = distance < self.d_min or distance > self.d_max
-        d = min(max(distance, self.d_min), self.d_max)
-        delta = d - self.centers
-        return np.exp(-self.gamma * (delta * delta)), clamped
+    def lift(self, distance) -> tuple[np.ndarray, bool]:
+        """RBF rows for distances, [...] -> [..., channels].
 
-    def invert(self, vecs) -> np.ndarray:
-        """Distance carried by lifted vectors, [..., channels] -> [...].
-
-        Solves the log-ratio of the argmax channel k and its larger
-        neighbour in closed form,
-        d = (c_k + c_{k+1})/2 + (ln v_{k+1} - ln v_k) / (2 gamma (c_{k+1} - c_k)),
-        so an in-range lift is recovered to rounding and a clamped lift
-        yields the clamped distance, which is what the vector carries.
+        Out-of-range distances are clamped into [d_min, d_max]; the flag
+        says whether any was.
         """
-        v = np.asarray(vecs, dtype=np.float64)
-        last = self.channels - 1
-        k = np.argmax(v, axis=-1)[..., None]
-        below = np.take_along_axis(v, np.maximum(k - 1, 0), axis=-1)
-        above = np.take_along_axis(v, np.minimum(k + 1, last), axis=-1)
-        lo = np.where((k == last) | ((k > 0) & (below > above)), k - 1, k)
-        v_lo = np.take_along_axis(v, lo, axis=-1)[..., 0]
-        v_hi = np.take_along_axis(v, lo + 1, axis=-1)[..., 0]
-        c_lo, c_hi = self.centers[lo[..., 0]], self.centers[lo[..., 0] + 1]
-        return 0.5 * (c_lo + c_hi) + (np.log(v_hi) - np.log(v_lo)) / (
-            2.0 * self.gamma * (c_hi - c_lo)
-        )
-
-
-@dataclass(frozen=True)
-class EdgeSignal:
-    i: int
-    j: int
-    vec: np.ndarray
-    clamped: bool = False
+        d = np.asarray(distance, dtype=np.float64)
+        clamped = bool(np.any((d < self.d_min) | (d > self.d_max)))
+        delta = np.clip(d, self.d_min, self.d_max)[..., None] - self.centers
+        return np.exp(-self.gamma * (delta * delta)), clamped
 
 
 @dataclass(frozen=True)
 class ControlSignals:
-    """Denoiser-ready form of one constraint pair."""
+    """Denoiser-ready form of one constraint pair, as plain arrays.
+
+    Row k of `edges`, `edge_dist` and `edge_rbf` is the k-th constrained
+    node pair (i < j), its target distance clamped into the basis range,
+    and the RBF row of that distance.
+    """
 
     node_signal: np.ndarray  # [n, N_TYPES]
-    edges: tuple[EdgeSignal, ...] = ()
+    edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))  # [E, 2]
+    edge_dist: np.ndarray = field(default_factory=lambda: np.zeros(0))  # [E]
+    edge_rbf: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))  # [E, C]
+    any_clamped: bool = False
 
     @property
     def n_nodes(self) -> int:
         return self.node_signal.shape[0]
-
-    @property
-    def any_clamped(self) -> bool:
-        return any(e.clamped for e in self.edges)
-
-    @property
-    def is_unconditional(self) -> bool:
-        return not self.edges and not self.node_signal.any()
 
 
 def encode_type(c: TypeConstraint, n_nodes: int) -> np.ndarray:
@@ -114,43 +87,22 @@ def encode_type(c: TypeConstraint, n_nodes: int) -> np.ndarray:
     return signal
 
 
-def encode_distance(c: DistanceConstraint, spec: RbfSpec) -> tuple[EdgeSignal, ...]:
-    out = []
-    for i, j, d in c.entries:
-        vec, clamped = spec.lift(d)
-        out.append(EdgeSignal(i, j, vec, clamped))
-    return tuple(out)
-
-
 def encode_pair(pair: ConstraintPair, n_nodes: int, spec: RbfSpec) -> ControlSignals:
     """Joint signal; an empty side contributes its unconditional form."""
-    for i, j, _ in pair.dists.entries:
+    for i, j in pair.dists.pairs():
         if j >= n_nodes:
             raise ValueError(f"distance constraint pair ({i},{j}) outside graph of {n_nodes}")
+    dist = np.array([d for _, _, d in pair.dists.entries], dtype=np.float64)
+    edge_rbf, any_clamped = spec.lift(dist)
     return ControlSignals(
         node_signal=encode_type(pair.types, n_nodes),
-        edges=encode_distance(pair.dists, spec),
+        edges=np.array(pair.dists.pairs(), dtype=np.int64).reshape(-1, 2),
+        edge_dist=np.clip(dist, spec.d_min, spec.d_max),
+        edge_rbf=edge_rbf,
+        any_clamped=any_clamped,
     )
 
 
 def unconditional(n_nodes: int) -> ControlSignals:
     """The signal fed to the no-constraint branch: zero rows, no edges."""
-    return ControlSignals(node_signal=np.zeros((n_nodes, N_TYPES)), edges=())
-
-
-def linf_distance(a: ControlSignals, b: ControlSignals) -> float:
-    """Largest elementwise gap between two signals; absent edges count as zeros."""
-    if a.node_signal.shape != b.node_signal.shape:
-        raise ValueError("signals cover different node counts")
-    gap = float(np.max(np.abs(a.node_signal - b.node_signal))) if a.node_signal.size else 0.0
-    ea = {(e.i, e.j): e.vec for e in a.edges}
-    eb = {(e.i, e.j): e.vec for e in b.edges}
-    for key in set(ea) | set(eb):
-        va = ea.get(key)
-        vb = eb.get(key)
-        if va is None:
-            va = np.zeros_like(vb)
-        if vb is None:
-            vb = np.zeros_like(va)
-        gap = max(gap, float(np.max(np.abs(va - vb))))
-    return gap
+    return ControlSignals(node_signal=np.zeros((n_nodes, N_TYPES)))

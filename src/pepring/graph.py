@@ -292,20 +292,6 @@ def generate_chain(length: int, seed: int, type_distribution=None) -> GeometricG
     )
 
 
-def chain_geometry_ok(g: GeometricGraph) -> bool:
-    """Training-data geometry: bond lengths in (2, 6) and no clashes."""
-    x = g.peptide_coords
-    bonds = np.linalg.norm(np.diff(x, axis=0), axis=1)
-    if np.any(bonds <= 2.0) or np.any(bonds >= 6.0):
-        return False
-    n = len(x)
-    for i in range(n):
-        for j in range(i + 2, n):
-            if np.linalg.norm(x[i] - x[j]) <= MIN_NONCONSECUTIVE_DIST:
-                return False
-    return True
-
-
 def _format_coords(coords: np.ndarray) -> str:
     return "[" + ",".join(
         "[%.6f,%.6f,%.6f]" % (row[0], row[1], row[2]) for row in coords

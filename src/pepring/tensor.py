@@ -52,63 +52,6 @@ class Var:
         self.vid = vid
         self.value = value
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def _coerce(self, other) -> "Var":
-        if isinstance(other, Var):
-            if other.tape is not self.tape:
-                raise ValueError("operands recorded on different tapes")
-            return other
-        return self.tape.constant(other)
-
-    def __add__(self, other):
-        return add(self, self._coerce(other))
-
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return sub(self._coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, self._coerce(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, self._coerce(other))
-
-    def exp(self):
-        return exp(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def norm(self):
-        return norm(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def __repr__(self):
         return f"Var(vid={self.vid}, shape={self.value.shape})"
 
@@ -124,7 +67,6 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[int, tuple[int, ...], Callable]] = []
         self._next_id = 0
-        self._leaf_ids: set[int] = set()
 
     def _make(self, value: np.ndarray) -> Var:
         vid = self._next_id
@@ -135,9 +77,7 @@ class Tape:
         """Register a differentiable input."""
         arr = np.asarray(value, dtype=np.float64)
         _assert_finite("leaf", arr)
-        v = self._make(arr)
-        self._leaf_ids.add(v.vid)
-        return v
+        return self._make(arr)
 
     def constant(self, value) -> Var:
         """Register a value that never receives a gradient."""
@@ -150,30 +90,6 @@ class Tape:
         out = self._make(out_value)
         self._records.append((out.vid, tuple(v.vid for v in inputs), vjp))
         return out
-
-
-_PRIMITIVES: dict[str, Callable] = {}
-
-
-def _primitive(name: str):
-    def register(fn):
-        _PRIMITIVES[name] = fn
-        return fn
-
-    return register
-
-
-def forward_primitive(op: str, *inputs: Var, **opts) -> Var:
-    """Apply a named primitive to traced inputs.
-
-    Thin dispatch layer over the module-level primitive functions; the
-    operator sugar on :class:`Var` routes through the same functions.
-    """
-    try:
-        fn = _PRIMITIVES[op]
-    except KeyError:
-        raise KeyError(f"unknown primitive {op!r}") from None
-    return fn(*inputs, **opts)
 
 
 def backward(tape: Tape, output: Var, seed: float = 1.0) -> dict[int, np.ndarray]:
@@ -231,7 +147,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(lead))) if lead else g
 
 
-@_primitive("add")
 def add(x: Var, y: Var) -> Var:
     tape = _same_tape("add", x, y)
     _suffix_broadcast("add", x, y)
@@ -245,7 +160,6 @@ def add(x: Var, y: Var) -> Var:
     return tape._record("add", x.value + y.value, (x, y), vjp)
 
 
-@_primitive("sub")
 def sub(x: Var, y: Var) -> Var:
     tape = _same_tape("sub", x, y)
     _suffix_broadcast("sub", x, y)
@@ -257,7 +171,6 @@ def sub(x: Var, y: Var) -> Var:
     return tape._record("sub", x.value - y.value, (x, y), vjp)
 
 
-@_primitive("mul")
 def mul(x: Var, y: Var) -> Var:
     tape = _same_tape("mul", x, y)
     _suffix_broadcast("mul", x, y)
@@ -269,7 +182,6 @@ def mul(x: Var, y: Var) -> Var:
     return tape._record("mul", xv * yv, (x, y), vjp)
 
 
-@_primitive("div")
 def div(x: Var, y: Var) -> Var:
     tape = _same_tape("div", x, y)
     _suffix_broadcast("div", x, y)
@@ -284,7 +196,6 @@ def div(x: Var, y: Var) -> Var:
     return tape._record("div", xv / yv, (x, y), vjp)
 
 
-@_primitive("scale")
 def scale(x: Var, factor: float) -> Var:
     def vjp(g):
         return (g * factor,)
@@ -292,7 +203,6 @@ def scale(x: Var, factor: float) -> Var:
     return x.tape._record("scale", x.value * factor, (x,), vjp)
 
 
-@_primitive("matmul")
 def matmul(a: Var, b: Var) -> Var:
     tape = _same_tape("matmul", a, b)
     av, bv = a.value, b.value
@@ -309,7 +219,6 @@ def matmul(a: Var, b: Var) -> Var:
     return tape._record("matmul", av @ bv, (a, b), vjp)
 
 
-@_primitive("sum")
 def reduce_sum(x: Var, axis=None, keepdims: bool = False) -> Var:
     xv = x.value
     out = xv.sum(axis=axis, keepdims=keepdims)
@@ -323,9 +232,12 @@ def reduce_sum(x: Var, axis=None, keepdims: bool = False) -> Var:
     return x.tape._record("sum", np.asarray(out), (x,), vjp)
 
 
-@_primitive("broadcast")
 def broadcast(x: Var, leading: tuple[int, ...]) -> Var:
-    """Tile a value across new leading axes."""
+    """Tile a value across new leading axes.
+
+    The model does not use it; the benchmark's tracer (perfbench/spans.py)
+    wraps it by name.
+    """
     leading = tuple(int(d) for d in leading)
     out_shape = leading + x.value.shape
 
@@ -337,7 +249,6 @@ def broadcast(x: Var, leading: tuple[int, ...]) -> Var:
     )
 
 
-@_primitive("exp")
 def exp(x: Var) -> Var:
     out = np.exp(x.value)
 
@@ -347,7 +258,6 @@ def exp(x: Var) -> Var:
     return x.tape._record("exp", out, (x,), vjp)
 
 
-@_primitive("tanh")
 def tanh(x: Var) -> Var:
     out = np.tanh(x.value)
 
@@ -357,7 +267,6 @@ def tanh(x: Var) -> Var:
     return x.tape._record("tanh", out, (x,), vjp)
 
 
-@_primitive("norm")
 def norm(x: Var) -> Var:
     """Euclidean norm along the last axis, smoothed near zero.
 
@@ -376,7 +285,6 @@ def norm(x: Var) -> Var:
     return x.tape._record("norm", out, (x,), vjp)
 
 
-@_primitive("concat")
 def concat(parts: Sequence[Var], axis: int = -1) -> Var:
     if not parts:
         raise ShapeError("concat: needs at least one operand")
@@ -399,7 +307,6 @@ def concat(parts: Sequence[Var], axis: int = -1) -> Var:
     return tape._record("concat", out, tuple(parts), vjp)
 
 
-@_primitive("gather")
 def gather(x: Var, index) -> Var:
     """Select rows (axis 0) by an integer index array."""
     idx = np.asarray(index, dtype=np.int64)
@@ -421,7 +328,6 @@ def gather(x: Var, index) -> Var:
     return x.tape._record("gather", xv[idx], (x,), vjp)
 
 
-@_primitive("reshape")
 def reshape(x: Var, shape) -> Var:
     shape = tuple(int(d) for d in shape)
     xv = x.value
@@ -430,11 +336,3 @@ def reshape(x: Var, shape) -> Var:
         return (g.reshape(xv.shape),)
 
     return x.tape._record("reshape", xv.reshape(shape), (x,), vjp)
-
-
-def square(x: Var) -> Var:
-    return mul(x, x)
-
-
-def mean(x: Var) -> Var:
-    return scale(reduce_sum(x), 1.0 / x.value.size)

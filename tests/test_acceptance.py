@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, max_rel_err, random_rotation
+from helpers import fd_gradient, linf_distance, max_rel_err, random_rotation
 from pepring import cli
 from pepring import config as CF
 from pepring import constraints as C
@@ -57,7 +57,7 @@ def test_criterion_1_injectivity():
         pair = _quantized_design_pair(g, rng)
         sig = E.encode_pair(pair, n, RBF)
         if prev_pair is not None and pair != prev_pair:
-            gap = E.linf_distance(sig, prev_sig)
+            gap = linf_distance(sig, prev_sig)
             min_gap = min(min_gap, gap)
             assert gap > 1e-9, f"collision between {pair} and {prev_pair}"
             n_pairs += 1

@@ -369,3 +369,55 @@ class TestRerun:
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps({"command": "nope", "args": {}}))
         assert run("rerun", "--manifest", bad) == 2
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+
+BAD_INPUTS = {
+    "train-epochs-0": ["train", "--data", "{data}", "--set", "epochs=0"],
+    "train-hidden-0": ["train", "--data", "{data}", "--set", "hidden=0"],
+    "train-odd-t-embed": ["train", "--data", "{data}", "--set", "t_embed_dim=3"],
+    "train-one-rbf-channel": ["train", "--data", "{data}", "--set", "rbf_channels=1"],
+    "train-beta-end-2": ["train", "--data", "{data}", "--set", "beta_end=2"],
+    "train-p-drop-2": ["train", "--data", "{data}", "--set", "p_drop_type=2"],
+    "train-empty-data": ["train", "--data", "{empty}"],
+    "train-config-not-utf8": ["train", "--data", "{data}", "--config", "{not_utf8}"],
+    "train-data-not-utf8": ["train", "--data", "{not_utf8}"],
+    "sample-bogus-mode": ["sample", "--checkpoint", "{ckpt}", "--strategy", "head-to-tail",
+                          "--length", "8", "--set", "guidance_mode=bogus"],
+    "sample-negative-w": ["sample", "--checkpoint", "{ckpt}", "--strategy", "head-to-tail",
+                          "--length", "8", "--w", "-1"],
+    "sample-length-30": ["sample", "--checkpoint", "{ckpt}", "--strategy", "head-to-tail",
+                         "--length", "30"],
+    "sample-t-steps-mismatch": ["sample", "--checkpoint", "{ckpt}", "--strategy",
+                                "head-to-tail", "--length", "8", "--set", "t_steps=50"],
+    "sample-constraint-file-not-utf8": ["sample", "--checkpoint", "{ckpt}",
+                                        "--constraint-file", "{not_utf8}", "--length", "8"],
+    "sample-checkpoint-not-utf8": ["sample", "--checkpoint", "{not_utf8}", "--strategy",
+                                   "head-to-tail", "--length", "8"],
+    "gen-data-weights-not-numbers": ["gen-data", "--count", "2", "--type-weights", "a,b"],
+    "gen-data-weights-all-zero": ["gen-data", "--count", "2",
+                                  "--type-weights", ",".join(["0"] * G.N_TYPES)],
+    "rerun-manifest-not-utf8": ["rerun", "--manifest", "{not_utf8}"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_value_or_file_encoding_is_usage_error(tmp_path, capsys, case):
+    cfg = CF.resolve()  # a 200-step network
+    files = {
+        "ckpt": tmp_path / "ckpt.json",
+        "data": tmp_path / "data.jsonl",
+        "empty": tmp_path / "empty.jsonl",
+        "not_utf8": tmp_path / "not-utf8.txt",
+    }
+    D.save_checkpoint(D.init_params(CF.denoiser_config(cfg), 0), files["ckpt"], run_config=cfg)
+    G.write_structures(files["data"], [G.generate_chain(6, seed=0)])
+    files["empty"].write_text("")
+    files["not_utf8"].write_bytes(NOT_UTF8)
+    argv = [a.format(**files) for a in BAD_INPUTS[case]]
+    if argv[0] != "rerun":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

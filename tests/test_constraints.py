@@ -290,7 +290,7 @@ class TestCheckSatisfaction:
         mutated = G.GeometricGraph.from_parts(types, g.peptide_coords)
         report = C.check_satisfaction(mutated, C.decompose(s, 6), tol=0.5)
         assert not report.passed
-        assert [e.nodes for e in report.failures()] == [(4,)]
+        assert [e.nodes for e in report.entries if not e.passed] == [(4,)]
 
     def test_distance_at_exact_tolerance_passes(self):
         g = _graph_with([[0, 0, 0], [3, 0, 0], [6, 0, 0], [4.3, 0, 0]])

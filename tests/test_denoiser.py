@@ -74,11 +74,11 @@ def test_permutation_equivariance():
     z = inp.latent
     permuted_latent = G.LatentGraph(inv=z.inv[perm], eqv=z.eqv[perm], center=z.center)
     where = np.argsort(perm)  # old index -> new index
-    edges = tuple(
-        E.EdgeSignal(min(where[e.i], where[e.j]), max(where[e.i], where[e.j]), e.vec, e.clamped)
-        for e in inp.signals.edges
+    old = inp.signals
+    signals = E.ControlSignals(
+        old.node_signal[perm], np.sort(where[old.edges], axis=1), old.edge_dist, old.edge_rbf,
+        old.any_clamped,
     )
-    signals = E.ControlSignals(inp.signals.node_signal[perm], edges)
     inv1, eqv1 = D.predict_noise(params, D.DenoiserInput(permuted_latent, signals, inp.t))
     assert np.allclose(inv1, inv0[perm], atol=1e-9)
     assert np.allclose(eqv1, eqv0[perm], atol=1e-9)
@@ -86,8 +86,8 @@ def test_permutation_equivariance():
 
 def test_empty_constrained_subgraph_matches_unadapted_network():
     params, inp = make_input(SMALL, seed=5, with_edges=True)
-    assert inp.signals.edges  # the draw above must actually constrain something
-    no_edges = E.ControlSignals(inp.signals.node_signal, ())
+    assert len(inp.signals.edges)  # the draw above must actually constrain something
+    no_edges = E.ControlSignals(inp.signals.node_signal)
     zeroed = D.DenoiserParams(
         config=params.config,
         arrays={
@@ -115,7 +115,7 @@ def test_node_signal_row_changes_output():
     sig = inp.signals.node_signal.copy()
     sig[0] = 0.0
     sig[0, G.CYS] = 1.0 - inp.signals.node_signal[0, G.CYS]
-    other = D.DenoiserInput(inp.latent, E.ControlSignals(sig, ()), inp.t)
+    other = D.DenoiserInput(inp.latent, E.ControlSignals(sig), inp.t)
     inv0, _ = D.predict_noise(params, inp)
     inv1, _ = D.predict_noise(params, other)
     assert np.max(np.abs(inv1 - inv0)) > 0

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, max_rel_err, random_rotation
+from helpers import energy_of, fd_gradient, max_rel_err, random_rotation
 from pepring import constraints as C
 from pepring import denoiser as D
 from pepring import diffusion as DF
 from pepring import graph as G
+from pepring import tensor as T
 
 TOY_NET = D.DenoiserConfig(
     latent_dim=4, hidden=8, layers=2, t_embed_dim=4, t_steps=20,
@@ -140,26 +141,33 @@ class TestEnergy:
 
     def test_satisfied_graph_has_zero_energy(self):
         g, pair = self.disulfide_graph()
-        assert DF.energy_of(pair, g) == 0.0
+        assert energy_of(pair, g) == 0.0
 
     def test_distance_violation_is_quadratic(self):
         g, pair = self.disulfide_graph(gap=0.3)
-        assert DF.energy_of(pair, g) == pytest.approx(0.3 ** 2, rel=1e-12)
+        assert energy_of(pair, g) == pytest.approx(0.3 ** 2, rel=1e-12)
+        # the traced energy the sampler differentiates carries the distance term
+        tape = T.Tape()
+        traced = DF.trace_distance_energy(tape, tape.constant(g.peptide_coords), pair)
+        assert float(traced.value) == pytest.approx(0.3 ** 2, rel=1e-9)
 
     def test_type_violation_counts_one(self):
         g, pair = self.disulfide_graph()
         types = g.peptide_types.copy()
         types[1] = G.LYS
         mutated = G.GeometricGraph.from_parts(types, g.peptide_coords)
-        assert DF.energy_of(pair, mutated) == pytest.approx(1.0, abs=1e-12)
+        assert energy_of(pair, mutated) == pytest.approx(1.0, abs=1e-12)
 
     def test_coordinate_gradient_matches_finite_differences(self):
         g, pair = self.disulfide_graph(gap=0.4)
         pair = C.compose([pair, C.decompose(C.StrategySpec(C.HEAD_TO_TAIL), 6)])
-        analytic = DF.energy_coordinate_gradient(pair, g)
+        tape = T.Tape()
+        coords = tape.leaf(g.peptide_coords)
+        adjoints = T.backward(tape, DF.trace_distance_energy(tape, coords, pair))
+        analytic = T.gradient(adjoints, coords)
 
         def f(x):
-            return DF.energy_of(pair, G.GeometricGraph.from_parts(g.peptide_types, x))
+            return energy_of(pair, G.GeometricGraph.from_parts(g.peptide_types, x))
 
         numeric = fd_gradient(f, g.peptide_coords.copy())
         assert max_rel_err(analytic, numeric) < 1e-4
@@ -167,13 +175,13 @@ class TestEnergy:
     def test_energy_invariant_under_rigid_motion(self):
         g, pair = self.disulfide_graph(gap=0.7)
         rng = np.random.default_rng(6)
-        base = DF.energy_of(pair, g)
+        base = energy_of(pair, g)
         for _ in range(10):
             rot = random_rotation(rng)
             moved = G.GeometricGraph.from_parts(
                 g.peptide_types, g.peptide_coords @ rot.T + rng.uniform(-9, 9, 3)
             )
-            assert DF.energy_of(pair, moved) == pytest.approx(base, rel=1e-9)
+            assert energy_of(pair, moved) == pytest.approx(base, rel=1e-9)
 
     def test_latent_energy_gradient_matches_finite_differences(self):
         params = D.init_params(TOY_NET, seed=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_rotation
+from helpers import linf_distance, random_rotation
 from pepring import constraints as C
 from pepring import encoding as E
 from pepring import graph as G
@@ -67,25 +67,42 @@ def test_rbf_spec_validation():
         E.RbfSpec(channels=1)
     with pytest.raises(ValueError):
         E.RbfSpec(d_min=5.0, d_max=5.0)
-    with pytest.raises(ValueError):
-        E.RbfSpec(gamma=-1.0)
+    # the bump width follows the center spacing (1 A here)
+    assert E.RbfSpec(channels=3, d_min=0.0, d_max=2.0).gamma == 0.5
 
 
 def test_encode_pair_disulfide(rbf):
     pair = C.decompose(C.StrategySpec(C.DISULFIDE, (1, 4)), 6)
     sig = E.encode_pair(pair, 6, rbf)
     assert sig.node_signal.sum() == 2.0
-    assert len(sig.edges) == 1
-    assert (sig.edges[0].i, sig.edges[0].j) == (1, 4)
+    assert sig.edges.dtype == np.int64
+    assert sig.edges.tolist() == [[1, 4]]
+
+
+def test_encode_pair_edge_arrays_are_exact(rbf):
+    pair = C.ConstraintPair(dists=C.DistanceConstraint(
+        ((0, 5, 3.8), (2, 8, 5.5), (1, 9, 25.0), (3, 6, 4.123456789))
+    ))
+    sig = E.encode_pair(pair, 10, rbf)
+    assert sig.edges.dtype == np.int64
+    assert sig.edges.tolist() == [[0, 5], [1, 9], [2, 8], [3, 6]]
+    assert sig.edge_dist.tolist() == [3.8, 20.0, 5.5, 4.123456789]
+    assert sig.edge_rbf.shape == (4, rbf.channels)
+    for row, (_, _, d) in zip(sig.edge_rbf, pair.dists.entries):
+        assert np.array_equal(row, rbf.lift(d)[0])
+    assert sig.any_clamped
+    in_range = C.ConstraintPair(dists=C.DistanceConstraint(((0, 5, 3.8),)))
+    assert not E.encode_pair(in_range, 10, rbf).any_clamped
 
 
 def test_empty_pair_is_unconditional(rbf):
     sig = E.encode_pair(C.EMPTY_PAIR, 7, rbf)
     base = E.unconditional(7)
-    assert sig.is_unconditional
+    assert not sig.node_signal.any() and len(sig.edges) == 0
     assert np.array_equal(sig.node_signal, base.node_signal)
-    assert sig.edges == base.edges
-    assert E.linf_distance(sig, base) == 0.0
+    assert np.array_equal(sig.edges, base.edges)
+    assert not sig.any_clamped and not base.any_clamped
+    assert linf_distance(sig, base) == 0.0
 
 
 def test_encoding_ignores_coordinates(rbf):
@@ -100,9 +117,9 @@ def test_encoding_ignores_coordinates(rbf):
     assert moved is not g
     after = E.encode_pair(pair, 10, rbf)
     assert np.array_equal(before.node_signal, after.node_signal)
-    assert all(
-        np.array_equal(x.vec, y.vec) for x, y in zip(before.edges, after.edges)
-    )
+    assert np.array_equal(before.edges, after.edges)
+    assert np.array_equal(before.edge_dist, after.edge_dist)
+    assert np.array_equal(before.edge_rbf, after.edge_rbf)
 
 
 def _sample_pair(g, rng, quantum=0.01):
@@ -124,26 +141,11 @@ def test_injectivity_over_sampled_design_space(rbf):
             continue
         s1 = E.encode_pair(p1, 12, rbf)
         s2 = E.encode_pair(p2, 12, rbf)
-        assert E.linf_distance(s1, s2) > 1e-9
+        assert linf_distance(s1, s2) > 1e-9
 
 
 def test_linf_distance_detects_each_side(rbf):
     a = E.encode_pair(C.decompose(C.StrategySpec(C.DISULFIDE, (1, 4)), 6), 6, rbf)
     b = E.encode_pair(C.decompose(C.StrategySpec(C.DISULFIDE, (1, 5)), 6), 6, rbf)
-    assert E.linf_distance(a, b) > 0.5
-    assert E.linf_distance(a, a) == 0.0
-
-
-@pytest.mark.parametrize("channels", [2, 8, 32])
-def test_rbf_invert_recovers_lifted_distance(channels):
-    spec = E.RbfSpec(channels, 0.0, 20.0)
-    distances = np.linspace(spec.d_min, spec.d_max, 401)
-    lifted = np.stack([spec.lift(float(d))[0] for d in distances])
-    assert np.max(np.abs(spec.invert(lifted) - distances)) < 1e-12
-    for d in distances[::40]:
-        assert abs(float(spec.invert(spec.lift(float(d))[0])) - d) < 1e-12
-
-
-def test_rbf_invert_of_clamped_lift_is_clamped_distance(rbf):
-    assert float(rbf.invert(rbf.lift(25.0)[0])) == pytest.approx(rbf.d_max, abs=1e-12)
-    assert float(rbf.invert(rbf.lift(-3.0)[0])) == pytest.approx(rbf.d_min, abs=1e-12)
+    assert linf_distance(a, b) > 0.5
+    assert linf_distance(a, a) == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_rotation
+from helpers import chain_geometry_ok, random_rotation
 from pepring import graph as G
 
 
@@ -29,7 +29,7 @@ def test_chain_self_avoidance_brute_force():
         for i in range(25):
             for j in range(i + 2, 25):
                 assert np.linalg.norm(x[i] - x[j]) > 3.0
-        assert G.chain_geometry_ok(g)
+        assert chain_geometry_ok(g)
 
 
 def test_chain_vertex_angles_in_range():

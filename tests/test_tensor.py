@@ -12,7 +12,7 @@ def scalar_loss(v):
 
 def test_add_elementwise():
     tape = T.Tape()
-    out = T.forward_primitive("add", tape.leaf([1.0, 2.0]), tape.leaf([3.0, 4.0]))
+    out = T.add(tape.leaf([1.0, 2.0]), tape.leaf([3.0, 4.0]))
     assert np.array_equal(out.value, [4.0, 6.0])
 
 
@@ -149,12 +149,6 @@ def test_non_finite_result_raises():
     x = tape.leaf([800.0])
     with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
         T.exp(T.mul(x, x))
-
-
-def test_unknown_primitive():
-    tape = T.Tape()
-    with pytest.raises(KeyError):
-        T.forward_primitive("convolve", tape.leaf([1.0]))
 
 
 def test_huge_but_finite_values_pass_the_guard():
