@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -335,9 +336,17 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _tolerance(args, cfg) -> float:
+    """The distance tolerance: --tol, else the config's `tolerance`."""
+    tol = args.tol if args.tol is not None else cfg["tolerance"]
+    if not 0 <= tol < math.inf:
+        raise UsageError(f"distance tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def cmd_check(args) -> int:
     cfg = CF.resolve(CF.parse_overrides(getattr(args, "set", None)))
-    tol = args.tol if args.tol is not None else cfg["tolerance"]
+    tol = _tolerance(args, cfg)
     graphs = G.read_structures(args.structures)
     if not graphs:
         raise UsageError(f"no structures in {args.structures}")
@@ -362,7 +371,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = CF.resolve(CF.parse_overrides(getattr(args, "set", None)))
-    tol = args.tol if args.tol is not None else cfg["tolerance"]
+    tol = _tolerance(args, cfg)
     generated = G.read_structures(args.samples)
     reference = G.read_structures(args.reference)
     if not generated:

@@ -11,13 +11,20 @@ distance-constrained edges, fed their radial-basis features (a no-op
 when nothing is constrained), then a dense pass over every node pair
 with no edge features. Node-level control signals and the timestep
 embedding are concatenated into the input features.
+
+Several inputs can be traced together as one disjoint-union graph
+(`DenoiserBatch`): their blocks of nodes follow one another, and every
+aggregation is a segment sum over receiver-sorted edges, so no graph
+sees another.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass, asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -151,25 +158,113 @@ def count_params(params: DenoiserParams) -> int:
     return sum(arr.size for arr in params.arrays.values())
 
 
-def _dense_edges(n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    recv, send = np.meshgrid(np.arange(n_total), np.arange(n_total), indexing="ij")
-    mask = recv != send
-    return recv[mask], send[mask]
+class DenoiserBatch:
+    """Several inputs traced as one disjoint-union graph.
+
+    Their peptide rows are stacked in input order in `inv` and `eqv`, and
+    `signals` is the union's control signal: node rows stacked the same
+    way, constrained edges offset into the stacked rows.
+    """
+
+    def __init__(self, inputs: Sequence[DenoiserInput]):
+        self.inputs = tuple(inputs)
+        for inp in self.inputs:
+            if inp.signals.n_nodes != inp.latent.n_nodes:
+                raise T.ShapeError(
+                    f"control signal covers {inp.signals.n_nodes} nodes, "
+                    f"latent has {inp.latent.n_nodes}"
+                )
+        self.offsets = np.cumsum([0] + [inp.latent.n_nodes for inp in self.inputs])
+        self.inv = np.concatenate([inp.latent.inv for inp in self.inputs])
+        self.eqv = np.concatenate([inp.latent.eqv for inp in self.inputs])
+        sigs = [inp.signals for inp in self.inputs]
+        self.signals = ControlSignals(
+            node_signal=np.concatenate([s.node_signal for s in sigs]),
+            edges=np.concatenate([s.edges + o for s, o in zip(sigs, self.offsets)]),
+            edge_dist=np.concatenate([s.edge_dist for s in sigs]),
+            # an edgeless signal's RBF rows have shape [0, 0]
+            edge_rbf=np.concatenate(
+                [s.edge_rbf for s in sigs if len(s.edges)] or [np.zeros((0, 0))]
+            ),
+            any_clamped=any(s.any_clamped for s in sigs),
+        )
 
 
-def _aggregation(n_total, recv, weights, zero_rows=None) -> np.ndarray:
-    agg = np.zeros((n_total, len(recv)))
-    agg[recv, np.arange(len(recv))] = weights
-    if zero_rows is not None:
-        agg[zero_rows] = 0.0
-    return agg
+def as_batch(inp: DenoiserInput | DenoiserBatch) -> DenoiserBatch:
+    """A `DenoiserInput` as a batch of one; a batch as it is."""
+    return inp if isinstance(inp, DenoiserBatch) else DenoiserBatch([inp])
 
 
-def _mlp(tape, getp, prefix, x, final_tanh=True):
-    y = T.add(T.matmul(x, getp(f"{prefix}.w0")), getp(f"{prefix}.b0"))
-    y = T.tanh(y)
+@dataclass(frozen=True)
+class _Layout:
+    """Index arrays of a disjoint union of graph blocks.
+
+    Block b is its n_b peptide nodes followed by its m_b context nodes;
+    blocks follow one another. Dense edges join every ordered pair of
+    distinct nodes within a block, receiver-major, so each receiver's
+    rows are one run.
+    """
+
+    pep: np.ndarray  # [sum n_b] union rows of the peptide nodes, in order
+    order: np.ndarray  # union row -> row of [peptide rows; context rows]
+    block: np.ndarray  # [N] block of each union row
+    recv: np.ndarray  # [R] dense edges
+    send: np.ndarray
+    fan_in: np.ndarray  # [N] dense edges per receiver, s_b - 1
+    mean_w: np.ndarray  # [N, 1] 1 / (s_b - 1)
+    coord_w: np.ndarray  # [N, 1] mean_w, zero on context rows
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.block)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(blocks: tuple[tuple[int, int], ...]) -> _Layout:
+    """Layout for blocks of (peptide, context) node counts; sampling reuses
+    one layout for every reverse step, hence the cache."""
+    pep, ctx, recv, send = [], [], [], []
+    offset = 0
+    for n, m in blocks:
+        s = n + m
+        pep.append(np.arange(offset, offset + n))
+        ctx.append(np.arange(offset + n, offset + s))
+        r, c = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
+        mask = r != c
+        recv.append(r[mask] + offset)
+        send.append(c[mask] + offset)
+        offset += s
+    pep, ctx = np.concatenate(pep), np.concatenate(ctx)
+    sizes = np.array([n + m for n, m in blocks])
+    block = np.repeat(np.arange(len(blocks)), sizes)
+    fan_in = sizes[block] - 1
+    mean_w = (1.0 / fan_in)[:, None]
+    coord_w = mean_w.copy()
+    coord_w[ctx] = 0.0
+    layout = _Layout(
+        pep=pep, order=np.argsort(np.concatenate([pep, ctx])), block=block,
+        recv=np.concatenate(recv), send=np.concatenate(send),
+        fan_in=fan_in, mean_w=mean_w, coord_w=coord_w,
+    )
+    for arr in vars(layout).values():
+        arr.setflags(write=False)  # shared by every forward pass with this layout
+    return layout
+
+
+def _rows(x, w, lo, hi):
+    """x @ w[lo:hi], the rows of a traced weight selected by gather."""
+    return T.matmul(x, T.gather(w, np.arange(lo, hi)))
+
+
+def _mlp_tail(getp, prefix, pre0, final_tanh=True):
+    """An MLP given its first layer's product, before the bias."""
+    y = T.tanh(T.add(pre0, getp(f"{prefix}.b0")))
     y = T.add(T.matmul(y, getp(f"{prefix}.w1")), getp(f"{prefix}.b1"))
     return T.tanh(y) if final_tanh else y
+
+
+def _mlp(getp, prefix, x, final_tanh=True):
+    return _mlp_tail(getp, prefix, T.matmul(x, getp(f"{prefix}.w0")), final_tanh)
 
 
 _ONES_ROW3 = np.ones((1, 3))
@@ -182,9 +277,13 @@ def _traced_rbf(tape, dist_col, centers, gamma):
     return T.exp(T.scale(T.mul(delta, delta), -gamma))
 
 
-def _message_pass(tape, getp, prefix, h, x, recv, send, node_agg, coord_agg,
+def _message_pass(tape, getp, prefix, h, x, recv, send, fan_in, node_w, coord_w,
                   edge_feat=None, node_mask=None, rbf=None, coord_scale=1.0):
     """One equivariant message-passing pass; returns updated (h, x).
+
+    Edges are receiver-sorted and receiver k has `fan_in[k]` of them.
+    Each node sums its incoming messages and coordinate steps, scaled
+    per node by `node_w` and `coord_w` ([N,1], None for a plain sum).
 
     Messages see the endpoint features and the current pair distance;
     constrained-subgraph passes additionally see the target's RBF vector
@@ -193,31 +292,38 @@ def _message_pass(tape, getp, prefix, h, x, recv, send, node_agg, coord_agg,
     something the MLP has to reinvent. `edge_feat` is then the pair
     (target distance [E,1] in Angstrom, target RBF rows [E,C]).
     """
-    hi, hj = T.gather(h, recv), T.gather(h, send)
+    width = h.value.shape[1]
     xi, xj = T.gather(x, recv), T.gather(x, send)
     diff = T.sub(xi, xj)
     dist = T.reshape(T.norm(diff), (len(recv), 1))
-    feats = [hi, hj, dist]
+    feats = [dist]
     if edge_feat is not None:
         target_d, target_vec = edge_feat
         # how far the pair currently is from its required distance, in
         # latent units: the steering direction as a linear feature
-        gap = T.sub(T.scale(dist, 1.0 / coord_scale), tape.constant(target_d))
+        dist_a = T.scale(dist, 1.0 / coord_scale)  # in Angstrom
+        gap = T.sub(dist_a, tape.constant(target_d))
         feats.append(T.scale(gap, coord_scale))
         feats.append(tape.constant(target_vec))
-        current = _traced_rbf(
-            tape, T.scale(dist, 1.0 / coord_scale), rbf.centers, rbf.gamma
-        )
-        feats.append(current)
-    msg = _mlp(tape, getp, f"{prefix}.msg", T.concat(feats, axis=1))
+        feats.append(_traced_rbf(tape, dist_a, rbf.centers, rbf.gamma))
+    # the first message layer is linear in [h_recv | h_send | edge
+    # features], so the node parts are multiplied per node, then gathered
+    w0 = getp(f"{prefix}.msg.w0")
+    edge_in = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
+    pre0 = T.add(
+        T.add(T.gather(_rows(h, w0, 0, width), recv),
+              T.gather(_rows(h, w0, width, 2 * width), send)),
+        _rows(edge_in, w0, 2 * width, w0.value.shape[0]),
+    )
+    msg = _mlp_tail(getp, f"{prefix}.msg", pre0)
 
-    step = _mlp(tape, getp, f"{prefix}.coord", msg)  # [E, 1], tanh-bounded
+    step = _mlp(getp, f"{prefix}.coord", msg)  # [E, 1], tanh-bounded
     step = T.mul(step, getp(f"{prefix}.coord.gain"))
     step3 = T.matmul(step, tape.constant(_ONES_ROW3))
-    x = T.add(x, T.matmul(tape.constant(coord_agg), T.mul(diff, step3)))
+    x = T.add(x, T.segment_sum(T.mul(diff, step3), fan_in, coord_w))
 
-    agg = T.matmul(tape.constant(node_agg), msg)
-    upd = _mlp(tape, getp, f"{prefix}.node", T.concat([h, agg], axis=1), final_tanh=False)
+    agg = T.segment_sum(msg, fan_in, node_w)
+    upd = _mlp(getp, f"{prefix}.node", T.concat([h, agg], axis=1), final_tanh=False)
     if node_mask is not None:
         upd = T.mul(upd, tape.constant(node_mask))
     h = T.add(h, upd)
@@ -225,92 +331,90 @@ def _message_pass(tape, getp, prefix, h, x, recv, send, node_agg, coord_agg,
 
 
 def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
-                           inv: T.Var, eqv: T.Var, inp: DenoiserInput):
-    """Traced forward pass. `inv`/`eqv` are the peptide latents as Vars;
-    `getp` resolves parameter names to Vars on the same tape."""
-    n = inp.latent.n_nodes
-    m = inp.n_context
-    total = n + m
-    if inp.signals.n_nodes != n:
-        raise T.ShapeError(
-            f"control signal covers {inp.signals.n_nodes} nodes, latent has {n}"
-        )
-    if not 1 <= inp.t <= cfg.t_steps:
-        raise ValueError(f"diffusion step {inp.t} outside [1, {cfg.t_steps}]")
+                           inv: T.Var, eqv: T.Var, inp: DenoiserInput | DenoiserBatch):
+    """Traced forward pass over one `DenoiserInput` or a `DenoiserBatch`.
+
+    `inv`/`eqv` are the peptide latents as Vars, a batch's stacked as in
+    `DenoiserBatch.inv`; the outputs stack the same way. `getp` resolves
+    parameter names to Vars on the same tape."""
+    batch = as_batch(inp)
+    for one in batch.inputs:
+        if not 1 <= one.t <= cfg.t_steps:
+            raise ValueError(f"diffusion step {one.t} outside [1, {cfg.t_steps}]")
+    n = int(batch.offsets[-1])
     if cfg.layers == 0:
         zero_inv = tape.constant(np.zeros((n, cfg.latent_dim)))
         zero_eqv = tape.constant(np.zeros((n, 3)))
         return zero_inv, zero_eqv
 
-    codec_table = getp("codec.table")
-    if m:
-        ctx_inv = T.gather(codec_table, np.asarray(inp.context_types, dtype=np.int64))
-        ctx_eqv = tape.constant(
-            (np.asarray(inp.context_coords, dtype=np.float64) - inp.latent.center)
+    lay = _layout(tuple((one.latent.n_nodes, one.n_context) for one in batch.inputs))
+    total = lay.n_nodes
+    inv_all, x = inv, eqv
+    if total > n:
+        with_ctx = [one for one in batch.inputs if one.n_context]
+        ctx_types = np.concatenate([one.context_types for one in with_ctx]).astype(np.int64)
+        ctx_eqv = np.concatenate([
+            (np.asarray(one.context_coords, dtype=np.float64) - one.latent.center)
             * cfg.coord_scale
-        )
-        inv_all = T.concat([inv, ctx_inv], axis=0)
-        x = T.concat([eqv, ctx_eqv], axis=0)
-    else:
-        inv_all = inv
-        x = eqv
+            for one in with_ctx
+        ])
+        inv_all = T.concat([inv, T.gather(getp("codec.table"), ctx_types)], axis=0)
+        x = T.concat([eqv, tape.constant(ctx_eqv)], axis=0)
+        inv_all, x = T.gather(inv_all, lay.order), T.gather(x, lay.order)
 
     signal = np.zeros((total, N_TYPES))
-    signal[:n] = inp.signals.node_signal
-    t_emb = np.broadcast_to(
-        getp("time.table").value[inp.t - 1], (total, cfg.t_embed_dim)
-    ).copy()
-    ctx_flag = np.zeros((total, 1))
-    ctx_flag[n:] = 1.0
+    signal[lay.pep] = batch.signals.node_signal
+    steps = np.array([one.t - 1 for one in batch.inputs])
+    t_emb = getp("time.table").value[steps[lay.block]]
+    ctx_flag = np.ones((total, 1))
+    ctx_flag[lay.pep] = 0.0
     extras = tape.constant(np.concatenate([signal, t_emb, ctx_flag], axis=1))
     h = T.tanh(T.add(T.matmul(T.concat([inv_all, extras], axis=1), getp("input.w")),
                      getp("input.b")))
 
-    recv_full, send_full = _dense_edges(total)
-    context_rows = np.arange(n, total)
-    node_agg_full = _aggregation(total, recv_full, 1.0 / (total - 1))
-    coord_agg_full = _aggregation(total, recv_full, 1.0 / (total - 1), zero_rows=context_rows)
-
     rbf = cfg.rbf_spec()
-    sig = inp.signals
+    sig = batch.signals
     constrained = len(sig.edges) > 0
     if constrained:
-        # both directions of each constrained edge: (i, j) rows, then (j, i)
-        recv_a, send_a = np.concatenate([sig.edges, sig.edges[:, ::-1]]).T
-        feat_a = (np.tile(sig.edge_dist, 2)[:, None], np.tile(sig.edge_rbf, (2, 1)))
-        node_agg_a = _aggregation(total, recv_a, 1.0)
-        coord_agg_a = _aggregation(total, recv_a, 1.0, zero_rows=context_rows)
-        incident = np.zeros((total, 1))
-        incident[np.unique(np.concatenate([recv_a, send_a]))] = 1.0
-        mask_a = np.repeat(incident, cfg.hidden, axis=1)
+        # both directions of each constrained edge, sorted by receiver
+        pairs = lay.pep[np.concatenate([sig.edges, sig.edges[:, ::-1]])]
+        by_recv = np.argsort(pairs[:, 0], kind="stable")
+        recv_a, send_a = pairs[by_recv].T
+        feat_a = (np.tile(sig.edge_dist, 2)[by_recv, None],
+                  np.tile(sig.edge_rbf, (2, 1))[by_recv])
+        fan_in_a = np.bincount(recv_a, minlength=total)
+        mask_a = np.repeat((fan_in_a > 0).astype(np.float64)[:, None], cfg.hidden, axis=1)
 
     x_in = x
     for layer in range(cfg.layers):
         if constrained:
+            # a sum over constrained edges; context nodes have none, so
+            # their rows stay put
             h, x = _message_pass(
                 tape, getp, f"layers.{layer}.adapter", h, x, recv_a, send_a,
-                node_agg_a, coord_agg_a, edge_feat=feat_a, node_mask=mask_a,
+                fan_in_a, None, None, edge_feat=feat_a, node_mask=mask_a,
                 rbf=rbf, coord_scale=cfg.coord_scale,
             )
         h, x = _message_pass(
-            tape, getp, f"layers.{layer}.main", h, x, recv_full, send_full,
-            node_agg_full, coord_agg_full,
+            tape, getp, f"layers.{layer}.main", h, x, lay.recv, lay.send,
+            lay.fan_in, lay.mean_w, lay.coord_w,
         )
 
-    pep = np.arange(n)
-    inv_noise = T.add(T.matmul(T.gather(h, pep), getp("out_inv.w")), getp("out_inv.b"))
-    eqv_noise = T.sub(T.gather(x, pep), T.gather(x_in, pep))
+    inv_noise = T.add(T.matmul(T.gather(h, lay.pep), getp("out_inv.w")), getp("out_inv.b"))
+    eqv_noise = T.sub(T.gather(x, lay.pep), T.gather(x_in, lay.pep))
     return inv_noise, eqv_noise
 
 
-def predict_noise(params: DenoiserParams, inp: DenoiserInput) -> tuple[np.ndarray, np.ndarray]:
-    """Noise estimate for one noisy latent graph under the given conditioning."""
+def predict_noise(params: DenoiserParams,
+                  inp: DenoiserInput | DenoiserBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Noise estimate for one noisy latent graph, or a batch's stacked
+    estimates, under the given conditioning."""
+    batch = as_batch(inp)
     tape = T.Tape()
     consts = {name: tape.constant(arr) for name, arr in params.arrays.items()}
-    inv = tape.constant(inp.latent.inv)
-    eqv = tape.constant(inp.latent.eqv)
     out_inv, out_eqv = trace_noise_prediction(
-        tape, consts.__getitem__, params.config, inv, eqv, inp
+        tape, consts.__getitem__, params.config, tape.constant(batch.inv),
+        tape.constant(batch.eqv), batch
     )
     return out_inv.value, out_eqv.value
 

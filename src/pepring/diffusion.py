@@ -24,9 +24,11 @@ from .constraints import (
     sample_type_constraint,
 )
 from .denoiser import (
+    DenoiserBatch,
     DenoiserConfig,
     DenoiserInput,
     DenoiserParams,
+    as_batch,
     init_params,
     predict_noise,
     trace_noise_prediction,
@@ -99,8 +101,10 @@ class TrainConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate, batch_size and epochs must be positive")
+        if not 0 < self.learning_rate < math.inf or self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("learning_rate must be finite; it, batch_size and epochs positive")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,10 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in GUIDANCE_MODES:
             raise ValueError(f"guidance mode must be one of {GUIDANCE_MODES}")
-        if self.weight < 0:
-            raise ValueError("guidance weight must be >= 0")
+        for name in ("weight", "energy_scale", "energy_grad_clip"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"guidance {name} must be finite and >= 0, got {value}")
 
 
 def _centered(draw: np.ndarray) -> np.ndarray:
@@ -173,16 +179,59 @@ class AdamW:
                 self.arrays[n] = self.arrays[n] - self.lr * update
 
 
-def noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv):
-    """Normalized squared error between drawn and predicted noise."""
+def noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv, example_losses=None):
+    """Normalized squared error between drawn and predicted noise.
+
+    `inp` is one `DenoiserInput` or a `DenoiserBatch`, whose graphs' noise
+    is stacked in `eps_inv`/`eps_eqv` as their latents are; a batch's loss
+    is the sum of its graphs' normalized losses. A list passed as
+    `example_losses` gets each graph's loss, read from its output rows
+    outside the tape.
+    """
+    batch = as_batch(inp)
     out_inv, out_eqv = trace_noise_prediction(
-        tape, pvars.__getitem__, params.config, tape.constant(inp.latent.inv),
-        tape.constant(inp.latent.eqv), inp
+        tape, pvars.__getitem__, params.config, tape.constant(batch.inv),
+        tape.constant(batch.eqv), batch
     )
     di = T.sub(out_inv, tape.constant(eps_inv))
     de = T.sub(out_eqv, tape.constant(eps_eqv))
-    total = T.add(T.reduce_sum(T.mul(di, di)), T.reduce_sum(T.mul(de, de)))
-    return T.scale(total, 1.0 / (eps_inv.size + eps_eqv.size))
+    rows = np.diff(batch.offsets)
+    weight = 1.0 / (rows * (eps_inv.shape[1] + 3))  # per graph: 1 / its noise entries
+    row_w = np.repeat(weight, rows)[:, None]
+
+    def weighted_squares(d):
+        w = tape.constant(np.broadcast_to(row_w, d.value.shape))
+        return T.reduce_sum(T.mul(T.mul(d, d), w))
+
+    total = T.add(weighted_squares(di), weighted_squares(de))
+    if example_losses is not None:
+        for lo, hi, w in zip(batch.offsets, batch.offsets[1:], weight):
+            ei, ee = di.value[lo:hi], de.value[lo:hi]
+            example_losses.append(float(((ei * ei).sum() + (ee * ee).sum()) * w))
+    return total
+
+
+# Whole training examples share one tape until the next would take its
+# dense-pass edge rows past this; a larger example gets a tape of its own.
+# More rows per tape run faster but keep more of the tape in memory.
+TAPE_EDGE_ROWS = 1024
+
+
+def _tape_groups(examples):
+    """Consecutive runs of training examples, one run per tape; an example
+    is (graph index, constraint pair, input, eps_inv, eps_eqv)."""
+    group, rows = [], 0
+    for ex in examples:
+        inp = ex[2]
+        size = inp.latent.n_nodes + inp.n_context
+        need = size * (size - 1)  # dense-pass edge rows
+        if group and rows + need > TAPE_EDGE_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append(ex)
+        rows += need
+    if group:
+        yield group
 
 
 def _training_example(g, params, schedule, cfg, rbf, rng):
@@ -239,39 +288,45 @@ def train(
         order = rng.permutation(len(data))
         losses: list[float] = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+            batch = [int(idx) for idx in order[start:start + cfg.batch_size]]
+            # the whole minibatch is drawn first: the same random stream as
+            # drawing each example just before tracing it
+            examples = [
+                (idx, *_training_example(data[idx], params, schedule, cfg, rbf, rng))
+                for idx in batch
+            ]
             grads = {n: np.zeros_like(params.arrays[n]) for n in params.trainable}
-            for idx in batch:
-                g = data[int(idx)]
-                dropped, inp, eps_inv, eps_eqv = _training_example(
-                    g, params, schedule, cfg, rbf, rng
-                )
+            for group in _tape_groups(examples):
+                graphs, pairs, inputs, eps_inv, eps_eqv = zip(*group)
                 tape = T.Tape()
                 pvars = {
                     n: (tape.leaf(a) if n in params.trainable else tape.constant(a))
                     for n, a in params.arrays.items()
                 }
+                group_losses: list[float] = []
                 try:
-                    loss = noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv)
+                    loss = noise_loss(
+                        tape, pvars, params, DenoiserBatch(inputs), np.concatenate(eps_inv),
+                        np.concatenate(eps_eqv), example_losses=group_losses,
+                    )
                 except FloatingPointError as err:
+                    at = ", ".join(f"{g} at t={inp.t}" for g, inp in zip(graphs, inputs))
                     raise RuntimeError(
-                        f"non-finite loss at epoch {epoch} step {step} "
-                        f"(graph {int(idx)}, t={inp.t}): {err}"
+                        f"non-finite loss at epoch {epoch} step {step} (graphs {at}): {err}"
                     ) from None
-                adjoints = T.backward(tape, loss)
+                # each tape's share of the minibatch mean
+                adjoints = T.backward(tape, T.scale(loss, 1.0 / len(batch)))
                 for n in params.trainable:
                     grads[n] += T.gradient(adjoints, pvars[n])
-                losses.append(float(loss.value))
-                if observer is not None:
-                    observer({
-                        "epoch": epoch, "step": step, "t": inp.t,
-                        "loss": float(loss.value),
-                        "n_type_entries": len(dropped.types.entries),
-                        "n_dist_entries": len(dropped.dists.entries),
-                    })
-                step += 1
-            for n in params.trainable:
-                grads[n] /= len(batch)
+                for pair, inp, value in zip(pairs, inputs, group_losses):
+                    losses.append(value)
+                    if observer is not None:
+                        observer({
+                            "epoch": epoch, "step": step, "t": inp.t, "loss": value,
+                            "n_type_entries": len(pair.types.entries),
+                            "n_dist_entries": len(pair.dists.entries),
+                        })
+                    step += 1
             opt.step(grads)
         epoch_losses.append(float(np.mean(losses)))
     return params, epoch_losses
@@ -330,11 +385,12 @@ def _guided_noise(params, target, z, t, guidance, signals_cond, signals_uncond, 
         return predict_noise(params, cond)
     uncond = DenoiserInput(z, signals_uncond, t, ctx_types, ctx_coords)
     if guidance.mode == "cfg":
-        eps_c = predict_noise(params, cond)
-        eps_u = predict_noise(params, uncond)
+        # both branches in one forward pass, as a batch of two
+        both_inv, both_eqv = predict_noise(params, DenoiserBatch([cond, uncond]))
+        n = z.n_nodes
         return (
-            cfg_combine(eps_c[0], eps_u[0], guidance.weight),
-            cfg_combine(eps_c[1], eps_u[1], guidance.weight),
+            cfg_combine(both_inv[:n], both_inv[n:], guidance.weight),
+            cfg_combine(both_eqv[:n], both_eqv[n:], guidance.weight),
         )
     # energy mode: unconditional score pushed down the violation gradient
     eps_u = predict_noise(params, uncond)

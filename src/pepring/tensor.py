@@ -93,10 +93,12 @@ class Tape:
 
 
 def backward(tape: Tape, output: Var, seed: float = 1.0) -> dict[int, np.ndarray]:
-    """Accumulate adjoints of a scalar output for every reached value id.
+    """Accumulate adjoints of a scalar output back to the tape's inputs.
 
-    Leaves that the output does not depend on are simply absent from the
-    returned map; read them through :func:`gradient`, which fills zeros.
+    Each record's adjoint is dropped once the sweep has passed it, so the
+    returned map holds leaves and constants only. Those the output does
+    not depend on are absent; read them through :func:`gradient`, which
+    fills zeros.
     """
     if output.value.shape != ():
         raise ShapeError(
@@ -104,7 +106,7 @@ def backward(tape: Tape, output: Var, seed: float = 1.0) -> dict[int, np.ndarray
         )
     adjoints: dict[int, np.ndarray] = {output.vid: np.asarray(float(seed))}
     for out_id, in_ids, vjp in reversed(tape._records):
-        g = adjoints.get(out_id)
+        g = adjoints.pop(out_id, None)
         if g is None:
             continue
         for vid, contrib in zip(in_ids, vjp(g)):
@@ -220,14 +222,12 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def reduce_sum(x: Var, axis=None, keepdims: bool = False) -> Var:
-    xv = x.value
-    out = xv.sum(axis=axis, keepdims=keepdims)
+    shape = x.value.shape
+    out = x.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, xv.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, xv.shape).copy(),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return x.tape._record("sum", np.asarray(out), (x,), vjp)
 
@@ -319,20 +319,50 @@ def gather(x: Var, index) -> Var:
         raise ShapeError(
             f"gather: index range [{idx.min()}, {idx.max()}] outside axis of length {xv.shape[0]}"
         )
+    shape, width = xv.shape, math.prod(xv.shape[1:])
 
     def vjp(g):
-        z = np.zeros_like(xv)
-        np.add.at(z, idx, g)
-        return (z,)
+        # scatter-add as one bincount over flat (row, column) bins; like
+        # np.add.at it adds each bin's terms in input order
+        flat = (idx[:, None] * width + np.arange(width)).ravel()
+        z = np.bincount(flat, weights=g.ravel(), minlength=shape[0] * width)
+        return (z.reshape(shape),)
 
     return x.tape._record("gather", xv[idx], (x,), vjp)
 
 
-def reshape(x: Var, shape) -> Var:
-    shape = tuple(int(d) for d in shape)
+def segment_sum(x: Var, counts, weights=None) -> Var:
+    """Sum consecutive runs of rows: run k is the next counts[k] rows.
+
+    An empty run gives a zero row. The runs must cover every row of x.
+    With `weights` ([K, 1] constants), run k's sum is scaled by weights[k].
+    """
+    counts = np.asarray(counts, dtype=np.int64)
     xv = x.value
+    ends = counts.cumsum()
+    if counts.ndim != 1 or not len(counts) or ends[-1] != len(xv) or counts.min() < 0:
+        raise ShapeError(f"segment_sum: runs of {counts.sum()} rows in all, input has {len(xv)}")
+    full = counts > 0
+    if full.all():
+        out = np.add.reduceat(xv, ends - counts, axis=0)
+    else:
+        out = np.zeros((len(counts),) + xv.shape[1:])
+        if full.any():
+            out[full] = np.add.reduceat(xv, (ends - counts)[full], axis=0)
+    if weights is not None:
+        out = out * weights
 
     def vjp(g):
-        return (g.reshape(xv.shape),)
+        return (np.repeat(g if weights is None else g * weights, counts, axis=0),)
 
-    return x.tape._record("reshape", xv.reshape(shape), (x,), vjp)
+    return x.tape._record("segment_sum", out, (x,), vjp)
+
+
+def reshape(x: Var, shape) -> Var:
+    shape = tuple(int(d) for d in shape)
+    in_shape = x.value.shape
+
+    def vjp(g):
+        return (g.reshape(in_shape),)
+
+    return x.tape._record("reshape", x.value.reshape(shape), (x,), vjp)

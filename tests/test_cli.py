@@ -175,6 +175,17 @@ class TestSample:
         assert run(*common, "--workers", 2, "--out", b) == 0
         assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
 
+    def test_cfg_pair_batch_matches_across_workers(self, tmp_path, wide_checkpoint):
+        # cfg traces the conditional and unconditional 14-mers as one union
+        # graph; 14 * 13 = 182 dense rows, so the second graph's rows start
+        # at an offset that is not a multiple of 4
+        a, b = tmp_path / "w1", tmp_path / "w3"
+        common = ["sample", "--checkpoint", wide_checkpoint, "--strategy", "head-to-tail",
+                  "--mode", "cfg", "--w", 5, "--length", 14, "--num", 3, "--seed", 2]
+        assert run(*common, "--workers", 1, "--out", a) == 0
+        assert run(*common, "--workers", 3, "--out", b) == 0
+        assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
+
     def test_pool_workers_use_one_blas_thread(self, tmp_path, checkpoint, monkeypatch):
         get_threads = cli._openblas_function("get")
         if get_threads is None:
@@ -421,3 +432,40 @@ def test_bad_value_or_file_encoding_is_usage_error(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NON_FINITE_OR_OUT_OF_RANGE = {
+    "train-learning-rate-nan": ["train", "--data", "{data}", "--set", "learning_rate=nan"],
+    "train-weight-decay-negative": ["train", "--data", "{data}", "--set", "weight_decay=-5"],
+    "sample-w-nan": ["sample", "--w", "nan"],
+    "sample-w-inf": ["sample", "--w", "inf"],
+    "sample-energy-scale-nan": ["sample", "--mode", "energy", "--set", "energy_scale=nan"],
+    "sample-energy-scale-negative": ["sample", "--mode", "energy",
+                                     "--set", "energy_scale=-30"],
+    "sample-grad-clip-nan": ["sample", "--mode", "energy", "--set", "energy_grad_clip=nan"],
+    "check-tol-negative": ["check", "--tol", "-1"],
+    "check-tol-nan": ["check", "--tol", "nan"],
+    "check-tolerance-negative": ["check", "--set", "tolerance=-1"],
+    "eval-tol-inf": ["eval", "--tol", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_OR_OUT_OF_RANGE))
+def test_non_finite_or_out_of_range_value_is_usage_error(tmp_path, capsys, case):
+    cfg = CF.resolve()
+    data, ckpt = tmp_path / "data.jsonl", tmp_path / "ckpt.json"
+    G.write_structures(data, [G.generate_chain(6, seed=0)])
+    D.save_checkpoint(D.init_params(CF.denoiser_config(cfg), 0), ckpt, run_config=cfg)
+    command, *rest = [a.format(data=data) for a in NON_FINITE_OR_OUT_OF_RANGE[case]]
+    argv = {
+        "train": [command, *rest, "--out", tmp_path / "out"],
+        "sample": [command, "--checkpoint", ckpt, "--strategy", "head-to-tail",
+                   "--length", 8, *rest, "--out", tmp_path / "out"],
+        "check": [command, "--structures", data, "--strategy", "head-to-tail", *rest],
+        "eval": [command, "--samples", data, "--reference", data, "--per-target", 1,
+                 "--strategy", "head-to-tail", *rest, "--out", tmp_path / "out"],
+    }[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -236,3 +236,20 @@ def test_parameter_gradient_matches_finite_differences():
 
         numeric = fd_gradient(f, params.arrays[name].copy())
         assert max_rel_err(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("cfg", [SMALL, D.DenoiserConfig()], ids=["small", "default"])
+def test_union_matches_each_graph_alone(cfg):
+    params, constrained = make_input(cfg, seed=21, n=12)
+    _, free = make_input(cfg, seed=22, n=8, with_edges=False)
+    _, with_ctx = make_input(cfg, seed=23, n=10, with_context=True)
+    assert len(constrained.signals.edges) and not len(free.signals.edges)
+    assert with_ctx.n_context == 3
+    inputs = [constrained, free, with_ctx]
+    batch = D.DenoiserBatch(inputs)
+    assert len(batch.signals.edges) == len(constrained.signals.edges) + len(with_ctx.signals.edges)
+    union_inv, union_eqv = D.predict_noise(params, batch)
+    for inp, lo, hi in zip(inputs, batch.offsets, batch.offsets[1:]):
+        alone_inv, alone_eqv = D.predict_noise(params, inp)
+        assert np.abs(union_inv[lo:hi] - alone_inv).max() < 1e-12
+        assert np.abs(union_eqv[lo:hi] - alone_eqv).max() < 1e-12

@@ -247,6 +247,61 @@ class TestTrain:
         assert len(losses) == 3 and all(np.isfinite(v) for v in losses)
 
 
+def mixed_minibatch():
+    """Chains of 8..16 residues, one with 3 context nodes: more dense edge
+    rows than one tape takes."""
+    data = [G.generate_chain(n, seed=40 + n) for n in (16, 9, 15, 12, 8, 14, 16)]
+    g = G.generate_chain(10, seed=3)
+    rng = np.random.default_rng(3)
+    data.append(G.GeometricGraph.from_parts(
+        g.peptide_types, g.peptide_coords, rng.integers(0, G.N_TYPES, size=3),
+        g.peptide_coords.mean(axis=0) + rng.normal(0, 6.0, size=(3, 3)),
+    ))
+    assert sum(c.n_total * (c.n_total - 1) for c in data) > DF.TAPE_EDGE_ROWS
+    return data
+
+
+def one_training_step(monkeypatch, data, seed=4):
+    """(gradient handed to AdamW, observer records) of one train step
+    over all of `data`, and each example's (loss, gradient) on a tape
+    of its own, drawn as train draws them."""
+    cfg = DF.TrainConfig(batch_size=len(data), epochs=1, seed=seed)
+    stepped, records = [], []
+    monkeypatch.setattr(DF.AdamW, "step", lambda self, grads: stepped.append(grads))
+    DF.train(data, cfg, toy_schedule(), TOY_NET, observer=records.append)
+    rng = np.random.default_rng(cfg.seed)
+    params = D.init_params(TOY_NET, seed=cfg.seed)
+    alone = []
+    for idx in rng.permutation(len(data)):
+        _, inp, eps_inv, eps_eqv = DF._training_example(
+            data[idx], params, toy_schedule(), cfg, TOY_NET.rbf_spec(), rng
+        )
+        tape = T.Tape()
+        pvars = {n: (tape.leaf(a) if n in params.trainable else tape.constant(a))
+                 for n, a in params.arrays.items()}
+        loss = DF.noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv)
+        adjoints = T.backward(tape, loss)
+        alone.append((float(loss.value),
+                      {n: T.gradient(adjoints, pvars[n]) for n in params.trainable}))
+    (grads,) = stepped
+    return grads, records, alone
+
+
+class TestMinibatchTapes:
+    def test_gradient_is_mean_of_per_example_gradients(self, monkeypatch):
+        grads, _, alone = one_training_step(monkeypatch, mixed_minibatch())
+        for name, got in grads.items():
+            want = np.mean([g[name] for _, g in alone], axis=0)
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300), name
+
+    def test_observer_gets_each_example_loss(self, monkeypatch):
+        data = mixed_minibatch()
+        _, records, alone = one_training_step(monkeypatch, data)
+        assert [r["step"] for r in records] == list(range(len(data)))
+        for record, (loss, _) in zip(records, alone):
+            assert abs(record["loss"] - loss) <= 1e-12 * loss
+
+
 class TestSample:
     def trained(self):
         cfg = DF.TrainConfig(learning_rate=1e-3, batch_size=4, epochs=3, seed=3)

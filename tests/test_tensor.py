@@ -123,6 +123,9 @@ def _fd_check(build, shapes, seed, tol=1e-4):
         ("concat", lambda t, a, b: scalar_loss(T.concat([a, b], axis=-1)), [(2, 3), (2, 2)]),
         ("gather", lambda t, a: scalar_loss(T.gather(a, [0, 2, 2, 1])), [(3, 4)]),
         ("reshape", lambda t, a: scalar_loss(T.reshape(a, (6,))), [(2, 3)]),
+        ("segment_sum", lambda t, a: scalar_loss(T.segment_sum(a, [2, 0, 3, 1])), [(6, 2)]),
+        ("segment_sum_weighted", lambda t, a: scalar_loss(
+            T.segment_sum(a, [2, 0, 3, 1], np.array([[0.5], [2.0], [-1.0], [0.0]]))), [(6, 2)]),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
@@ -180,3 +183,48 @@ def test_tape_freed_without_cycle_collection():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_gather_scatter_matches_add_at_bitwise():
+    rng = np.random.default_rng(5)
+    for shape, rows in (((7, 5), 60), ((4,), 30), ((3, 2, 4), 25)):
+        x = rng.normal(size=shape)
+        idx = rng.integers(0, shape[0], size=rows)  # many repeats per row
+        g = rng.normal(size=(rows,) + shape[1:])
+        tape = T.Tape()
+        leaf = tape.leaf(x)
+        out = T.gather(leaf, idx)
+        grad = T.gradient(T.backward(tape, T.reduce_sum(T.mul(out, tape.constant(g)))), leaf)
+        expected = np.zeros(shape)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(grad, expected)
+
+
+def test_gathered_array_not_kept_by_tape():
+    import weakref
+
+    arr = np.arange(12.0).reshape(4, 3)
+    ref = weakref.ref(arr)
+    tape = T.Tape()
+    out = T.gather(tape.leaf(arr), [0, 2, 2])
+    del arr
+    assert ref() is None
+    assert np.array_equal(out.value, [[0, 1, 2], [6, 7, 8], [6, 7, 8]])
+    assert len(tape._records) == 1  # the tape is still alive and recorded the gather
+
+
+def test_segment_sum_runs_and_empty_runs():
+    tape = T.Tape()
+    x = tape.leaf(np.arange(12.0).reshape(6, 2))
+    out = T.segment_sum(x, [0, 2, 0, 3, 1, 0])
+    assert np.array_equal(out.value, [[0, 0], [2, 4], [0, 0], [18, 21], [10, 11], [0, 0]])
+    with pytest.raises(T.ShapeError):
+        T.segment_sum(x, [2, 2])
+
+
+def test_backward_returns_only_inputs():
+    tape = T.Tape()
+    x = tape.leaf([1.0, 2.0])
+    c = tape.constant([3.0, 4.0])
+    out = T.reduce_sum(T.mul(T.tanh(x), c))
+    assert set(T.backward(tape, out)) == {x.vid, c.vid}
