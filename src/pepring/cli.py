@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -301,11 +302,10 @@ def cmd_sample(args) -> int:
     target = _target_from_args(args, args.length, cfg)
     guidance = CF.guidance_config(cfg, mode=args.mode, weight=args.w)
     schedule = CF.schedule(cfg)
-    if schedule.t_steps != params.config.t_steps:
-        raise UsageError(
-            f"t_steps {schedule.t_steps} does not match the checkpoint's "
-            f"{params.config.t_steps}-step network"
-        )
+    net = CF.denoiser_config(cfg)
+    if net != params.config:
+        differ = [k for k, v in asdict(net).items() if v != getattr(params.config, k)]
+        raise UsageError(f"config keys {differ} differ from the checkpoint's network")
     out = _prepare_out(args)
     started = _utc_now()
     extra = {"target_constraint": C.canonical_text(target).splitlines()}
@@ -424,11 +424,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _command_arg_names(command: str) -> set[str]:
-    """Every argument name the sub-parser of `command` sets."""
+def _command_actions(command: str) -> dict[str, argparse.Action]:
+    """The sub-parser of `command`'s actions, by argument name."""
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _check_stored_arg(key: str, value, action: argparse.Action) -> None:
+    """A manifest arg must be a value its parser action could have produced."""
+    if isinstance(action, argparse._AppendAction):
+        expected = "a list of strings"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        kind = action.type or str
+        expected = {int: "an integer", float: "a number", str: "a string"}[kind]
+        # any JSON number can stand for a float; bool is an int subclass
+        ok = isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+        ok = ok or (value is None and action.default is None and not action.required)
+    if not ok:
+        raise UsageError(f"manifest arg {key!r} is {value!r}, expected {expected}")
 
 
 def cmd_rerun(args) -> int:
@@ -447,13 +462,16 @@ def cmd_rerun(args) -> int:
     stored = doc.get("args")
     if not isinstance(stored, dict):
         raise UsageError("manifest args are not an object")
-    missing = sorted(_command_arg_names(command) - set(stored))
+    actions = _command_actions(command)
+    missing = sorted(set(actions) - set(stored))
     if missing:
         raise UsageError(f"manifest args for {command!r} lack {missing}")
     if args.out:
         if "out" not in stored:
             raise UsageError(f"command {command!r} takes no --out to override")
         stored["out"] = args.out
+    for key, action in actions.items():
+        _check_stored_arg(key, stored[key], action)
     replay = argparse.Namespace(**stored)
     return COMMANDS[command](replay)
 

@@ -58,10 +58,6 @@ class TypeConstraint:
             seen[node] = t
         object.__setattr__(self, "entries", tuple(sorted(seen.items())))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def nodes(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.entries)
 
@@ -93,10 +89,6 @@ class DistanceConstraint:
             self, "entries", tuple((i, j, d) for (i, j), d in sorted(seen.items()))
         )
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, j, _ in self.entries)
 
@@ -107,10 +99,6 @@ class ConstraintPair:
 
     types: TypeConstraint = field(default_factory=TypeConstraint)
     dists: DistanceConstraint = field(default_factory=DistanceConstraint)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.types.is_empty and self.dists.is_empty
 
     def max_node(self) -> int:
         nodes = list(self.types.nodes()) + [j for _, j, _ in self.dists.entries]

@@ -13,9 +13,9 @@ with no edge features. Node-level control signals and the timestep
 embedding are concatenated into the input features.
 
 Several inputs can be traced together as one disjoint-union graph
-(`DenoiserBatch`): their blocks of nodes follow one another, and every
-aggregation is a segment sum over receiver-sorted edges, so no graph
-sees another.
+(`DenoiserBatch`): every graph's peptide rows, then every graph's context
+rows, and every aggregation is a segment sum over receiver-sorted edges
+between rows of one graph, so no graph sees another.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -55,6 +56,10 @@ class DenoiserConfig:
             raise ValueError("t_embed_dim must be even")
         if self.t_steps < 1:
             raise ValueError("t_steps must be >= 1")
+        if not 0 < self.coord_scale < math.inf:
+            raise ValueError(f"coord_scale must be finite and > 0, got {self.coord_scale}")
+        if self.embed_scale is not None and not math.isfinite(self.embed_scale):
+            raise ValueError(f"embed_scale must be finite, got {self.embed_scale}")
         self.rbf_spec()  # raises on a degenerate basis
 
     def rbf_spec(self) -> RbfSpec:
@@ -154,10 +159,6 @@ def init_params(cfg: DenoiserConfig, seed: int) -> DenoiserParams:
     return DenoiserParams(config=cfg, arrays=arrays, trainable=trainable)
 
 
-def count_params(params: DenoiserParams) -> int:
-    return sum(arr.size for arr in params.arrays.values())
-
-
 class DenoiserBatch:
     """Several inputs traced as one disjoint-union graph.
 
@@ -197,55 +198,38 @@ def as_batch(inp: DenoiserInput | DenoiserBatch) -> DenoiserBatch:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Index arrays of a disjoint union of graph blocks.
+    """Index arrays of a disjoint union of graphs.
 
-    Block b is its n_b peptide nodes followed by its m_b context nodes;
-    blocks follow one another. Dense edges join every ordered pair of
-    distinct nodes within a block, receiver-major, so each receiver's
-    rows are one run.
+    The union's rows are every graph's peptide nodes, then every graph's
+    context nodes, each part in graph order. Dense edges join every
+    ordered pair of distinct nodes of one graph, receiver-major with the
+    senders in ascending row order, so each receiver's rows are one run.
     """
 
-    pep: np.ndarray  # [sum n_b] union rows of the peptide nodes, in order
-    order: np.ndarray  # union row -> row of [peptide rows; context rows]
-    block: np.ndarray  # [N] block of each union row
+    block: np.ndarray  # [N] graph of each union row
     recv: np.ndarray  # [R] dense edges
     send: np.ndarray
     fan_in: np.ndarray  # [N] dense edges per receiver, s_b - 1
     mean_w: np.ndarray  # [N, 1] 1 / (s_b - 1)
     coord_w: np.ndarray  # [N, 1] mean_w, zero on context rows
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.block)
-
 
 @functools.lru_cache(maxsize=16)
 def _layout(blocks: tuple[tuple[int, int], ...]) -> _Layout:
-    """Layout for blocks of (peptide, context) node counts; sampling reuses
+    """Layout for graphs of (peptide, context) node counts; sampling reuses
     one layout for every reverse step, hence the cache."""
-    pep, ctx, recv, send = [], [], [], []
-    offset = 0
-    for n, m in blocks:
-        s = n + m
-        pep.append(np.arange(offset, offset + n))
-        ctx.append(np.arange(offset + n, offset + s))
-        r, c = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-        mask = r != c
-        recv.append(r[mask] + offset)
-        send.append(c[mask] + offset)
-        offset += s
-    pep, ctx = np.concatenate(pep), np.concatenate(ctx)
-    sizes = np.array([n + m for n, m in blocks])
-    block = np.repeat(np.arange(len(blocks)), sizes)
-    fan_in = sizes[block] - 1
+    graphs = np.arange(len(blocks))
+    pep, ctx = np.array(blocks).T
+    block = np.concatenate([np.repeat(graphs, pep), np.repeat(graphs, ctx)])
+    mates = block[:, None] == block
+    np.fill_diagonal(mates, False)
+    recv, send = np.nonzero(mates)
+    fan_in = mates.sum(axis=1)
     mean_w = (1.0 / fan_in)[:, None]
     coord_w = mean_w.copy()
-    coord_w[ctx] = 0.0
-    layout = _Layout(
-        pep=pep, order=np.argsort(np.concatenate([pep, ctx])), block=block,
-        recv=np.concatenate(recv), send=np.concatenate(send),
-        fan_in=fan_in, mean_w=mean_w, coord_w=coord_w,
-    )
+    coord_w[pep.sum():] = 0.0
+    layout = _Layout(block=block, recv=recv, send=send, fan_in=fan_in,
+                     mean_w=mean_w, coord_w=coord_w)
     for arr in vars(layout).values():
         arr.setflags(write=False)  # shared by every forward pass with this layout
     return layout
@@ -267,13 +251,9 @@ def _mlp(getp, prefix, x, final_tanh=True):
     return _mlp_tail(getp, prefix, T.matmul(x, getp(f"{prefix}.w0")), final_tanh)
 
 
-_ONES_ROW3 = np.ones((1, 3))
-
-
 def _traced_rbf(tape, dist_col, centers, gamma):
     """Lift a traced [E,1] distance column through the Gaussian basis."""
-    tiled = T.matmul(dist_col, tape.constant(np.ones((1, centers.size))))
-    delta = T.sub(tiled, tape.constant(centers))
+    delta = T.sub(dist_col, tape.constant(centers))
     return T.exp(T.scale(T.mul(delta, delta), -gamma))
 
 
@@ -295,7 +275,7 @@ def _message_pass(tape, getp, prefix, h, x, recv, send, fan_in, node_w, coord_w,
     width = h.value.shape[1]
     xi, xj = T.gather(x, recv), T.gather(x, send)
     diff = T.sub(xi, xj)
-    dist = T.reshape(T.norm(diff), (len(recv), 1))
+    dist = T.norm(diff)
     feats = [dist]
     if edge_feat is not None:
         target_d, target_vec = edge_feat
@@ -319,8 +299,7 @@ def _message_pass(tape, getp, prefix, h, x, recv, send, fan_in, node_w, coord_w,
 
     step = _mlp(getp, f"{prefix}.coord", msg)  # [E, 1], tanh-bounded
     step = T.mul(step, getp(f"{prefix}.coord.gain"))
-    step3 = T.matmul(step, tape.constant(_ONES_ROW3))
-    x = T.add(x, T.segment_sum(T.mul(diff, step3), fan_in, coord_w))
+    x = T.add(x, T.segment_sum(T.mul(diff, step), fan_in, coord_w))
 
     agg = T.segment_sum(msg, fan_in, node_w)
     upd = _mlp(getp, f"{prefix}.node", T.concat([h, agg], axis=1), final_tanh=False)
@@ -348,7 +327,7 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
         return zero_inv, zero_eqv
 
     lay = _layout(tuple((one.latent.n_nodes, one.n_context) for one in batch.inputs))
-    total = lay.n_nodes
+    total = len(lay.block)
     inv_all, x = inv, eqv
     if total > n:
         with_ctx = [one for one in batch.inputs if one.n_context]
@@ -360,14 +339,13 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
         ])
         inv_all = T.concat([inv, T.gather(getp("codec.table"), ctx_types)], axis=0)
         x = T.concat([eqv, tape.constant(ctx_eqv)], axis=0)
-        inv_all, x = T.gather(inv_all, lay.order), T.gather(x, lay.order)
 
     signal = np.zeros((total, N_TYPES))
-    signal[lay.pep] = batch.signals.node_signal
+    signal[:n] = batch.signals.node_signal
     steps = np.array([one.t - 1 for one in batch.inputs])
     t_emb = getp("time.table").value[steps[lay.block]]
     ctx_flag = np.ones((total, 1))
-    ctx_flag[lay.pep] = 0.0
+    ctx_flag[:n] = 0.0
     extras = tape.constant(np.concatenate([signal, t_emb, ctx_flag], axis=1))
     h = T.tanh(T.add(T.matmul(T.concat([inv_all, extras], axis=1), getp("input.w")),
                      getp("input.b")))
@@ -377,15 +355,14 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
     constrained = len(sig.edges) > 0
     if constrained:
         # both directions of each constrained edge, sorted by receiver
-        pairs = lay.pep[np.concatenate([sig.edges, sig.edges[:, ::-1]])]
+        pairs = np.concatenate([sig.edges, sig.edges[:, ::-1]])
         by_recv = np.argsort(pairs[:, 0], kind="stable")
         recv_a, send_a = pairs[by_recv].T
         feat_a = (np.tile(sig.edge_dist, 2)[by_recv, None],
                   np.tile(sig.edge_rbf, (2, 1))[by_recv])
         fan_in_a = np.bincount(recv_a, minlength=total)
-        mask_a = np.repeat((fan_in_a > 0).astype(np.float64)[:, None], cfg.hidden, axis=1)
+        mask_a = (fan_in_a > 0).astype(np.float64)[:, None]
 
-    x_in = x
     for layer in range(cfg.layers):
         if constrained:
             # a sum over constrained edges; context nodes have none, so
@@ -400,8 +377,11 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
             lay.fan_in, lay.mean_w, lay.coord_w,
         )
 
-    inv_noise = T.add(T.matmul(T.gather(h, lay.pep), getp("out_inv.w")), getp("out_inv.b"))
-    eqv_noise = T.sub(T.gather(x, lay.pep), T.gather(x_in, lay.pep))
+    if total > n:
+        peptide = np.arange(n)
+        h, x = T.gather(h, peptide), T.gather(x, peptide)
+    inv_noise = T.add(T.matmul(h, getp("out_inv.w")), getp("out_inv.b"))
+    eqv_noise = T.sub(x, eqv)
     return inv_noise, eqv_noise
 
 

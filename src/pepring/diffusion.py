@@ -37,7 +37,6 @@ from .encoding import encode_pair, unconditional
 from .graph import GeometricGraph, LatentGraph, decode_latent, encode_latent
 
 GUIDANCE_MODES = ("cfg", "energy", "none")
-ENERGY_SCALE_SWEEP = (10.0, 30.0, 50.0)
 
 # Reverse-step latent magnitude cap. The prior is unit Gaussian, so any
 # healthy trajectory stays far below this; it only arrests the runaway
@@ -57,7 +56,7 @@ class DiffusionSchedule:
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("betas must be a non-empty vector")
-        if np.any(betas <= 0) or np.any(betas >= 1):
+        if not np.all((0 < betas) & (betas < 1)):
             raise ValueError("betas must lie strictly inside (0, 1)")
         if np.any(np.diff(betas) <= 0) and betas.size > 1:
             raise ValueError("betas must be strictly increasing")
@@ -173,10 +172,7 @@ class AdamW:
             self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
             self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
             update = (self.m[n] / b1c) / (np.sqrt(self.v[n] / b2c) + self.eps)
-            if self.weight_decay:
-                self.arrays[n] = self.arrays[n] * (1.0 - self.lr * self.weight_decay) - self.lr * update
-            else:
-                self.arrays[n] = self.arrays[n] - self.lr * update
+            self.arrays[n] = self.arrays[n] * (1.0 - self.lr * self.weight_decay) - self.lr * update
 
 
 def noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv, example_losses=None):
@@ -185,8 +181,7 @@ def noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv, example_losses=None):
     `inp` is one `DenoiserInput` or a `DenoiserBatch`, whose graphs' noise
     is stacked in `eps_inv`/`eps_eqv` as their latents are; a batch's loss
     is the sum of its graphs' normalized losses. A list passed as
-    `example_losses` gets each graph's loss, read from its output rows
-    outside the tape.
+    `example_losses` gets each graph's loss.
     """
     batch = as_batch(inp)
     out_inv, out_eqv = trace_noise_prediction(
@@ -197,18 +192,12 @@ def noise_loss(tape, pvars, params, inp, eps_inv, eps_eqv, example_losses=None):
     de = T.sub(out_eqv, tape.constant(eps_eqv))
     rows = np.diff(batch.offsets)
     weight = 1.0 / (rows * (eps_inv.shape[1] + 3))  # per graph: 1 / its noise entries
-    row_w = np.repeat(weight, rows)[:, None]
-
-    def weighted_squares(d):
-        w = tape.constant(np.broadcast_to(row_w, d.value.shape))
-        return T.reduce_sum(T.mul(T.mul(d, d), w))
-
-    total = T.add(weighted_squares(di), weighted_squares(de))
+    squares = T.add(T.reduce_sum(T.mul(di, di), axis=1, keepdims=True),
+                    T.reduce_sum(T.mul(de, de), axis=1, keepdims=True))
+    per_graph = T.segment_sum(squares, rows, weight[:, None])
     if example_losses is not None:
-        for lo, hi, w in zip(batch.offsets, batch.offsets[1:], weight):
-            ei, ee = di.value[lo:hi], de.value[lo:hi]
-            example_losses.append(float(((ei * ei).sum() + (ee * ee).sum()) * w))
-    return total
+        example_losses.extend(per_graph.value[:, 0].tolist())
+    return T.reduce_sum(per_graph)
 
 
 # Whole training examples share one tape until the next would take its

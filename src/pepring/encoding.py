@@ -11,6 +11,7 @@ signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ class RbfSpec:
     def __post_init__(self):
         if self.channels < 2:
             raise ValueError("need at least 2 RBF channels")
+        if not (math.isfinite(self.d_min) and math.isfinite(self.d_max)):
+            raise ValueError(f"RBF range must be finite, got [{self.d_min}, {self.d_max}]")
         if not self.d_max > self.d_min:
             raise ValueError("d_max must exceed d_min")
         spacing = (self.d_max - self.d_min) / (self.channels - 1)

@@ -156,12 +156,9 @@ def success_rate(
     samples: Mapping[str, Sequence[GeometricGraph]],
     constraints: Mapping[str, ConstraintPair],
     tol: float,
-) -> float:
-    """Fraction of targets with at least one satisfying candidate."""
-    return _success_detail(samples, constraints, tol)[0]
-
-
-def _success_detail(samples, constraints, tol):
+) -> tuple[float, tuple[TargetResult, ...]]:
+    """Fraction of targets with at least one satisfying candidate, and
+    each target's pass count."""
     if not samples:
         raise ValueError("no targets to evaluate")
     results = []
@@ -192,7 +189,7 @@ def evaluate(
     histogramming; side-chain statistics do not exist at C-alpha scale
     and are deliberately absent from the report.
     """
-    rate, targets = _success_detail(samples, constraints, tol)
+    rate, targets = success_rate(samples, constraints, tol)
     excluded = frozenset(
         t for pair in constraints.values() for t in pair.types.required_types()
     )

@@ -7,10 +7,8 @@ op that consumes it runs), so :func:`backward` is a single reverse sweep
 that visits each record exactly once.
 
 The primitive surface is intentionally small: exactly what the denoiser,
-the training loss and the constraint-energy gradient need. Broadcasting
-is restricted to leading-dimension batching (one operand's shape must be
-a trailing suffix of the other's); anything fancier has to be written as
-an explicit reshape or a matmul against a constant.
+the training loss and the constraint-energy gradient need. `add`, `sub`,
+`mul` and `div` broadcast their operands as numpy does.
 
 Traced values are treated as immutable. `leaf` and `constant` alias the
 arrays they are given, so callers must not mutate those buffers while
@@ -131,27 +129,28 @@ def _same_tape(name: str, *vars_: Var) -> Tape:
     return tape
 
 
-def _suffix_broadcast(name: str, x: Var, y: Var) -> tuple[int, ...]:
-    sx, sy = x.value.shape, y.value.shape
-    if sx == sy:
-        return sx
-    if len(sy) <= len(sx) and sx[len(sx) - len(sy):] == sy:
-        return sx
-    if len(sx) <= len(sy) and sy[len(sy) - len(sx):] == sx:
-        return sy
-    raise ShapeError(f"{name}: operand shapes {sx} and {sy} are incompatible")
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum an adjoint back to an operand's shape: over the leading axes the
+    operand lacks and over each axis where it has size 1."""
     if g.shape == shape:
         return g
     lead = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(lead))) if lead else g
+    ones = tuple(lead + k for k, d in enumerate(shape) if d == 1)
+    return g.sum(axis=tuple(range(lead)) + ones, keepdims=True).reshape(shape)
+
+
+def _elementwise(name: str, op, x: Var, y: Var) -> np.ndarray:
+    try:
+        return op(x.value, y.value)
+    except ValueError:
+        raise ShapeError(
+            f"{name}: operand shapes {x.value.shape} and {y.value.shape} are incompatible"
+        ) from None
 
 
 def add(x: Var, y: Var) -> Var:
     tape = _same_tape("add", x, y)
-    _suffix_broadcast("add", x, y)
+    out = _elementwise("add", np.add, x, y)
     # capture shapes, not the Vars: a Var points back at its tape, and a
     # vjp that held one would keep every tape alive as cyclic garbage
     sx, sy = x.value.shape, y.value.shape
@@ -159,34 +158,34 @@ def add(x: Var, y: Var) -> Var:
     def vjp(g):
         return (_unbroadcast(g, sx), _unbroadcast(g, sy))
 
-    return tape._record("add", x.value + y.value, (x, y), vjp)
+    return tape._record("add", out, (x, y), vjp)
 
 
 def sub(x: Var, y: Var) -> Var:
     tape = _same_tape("sub", x, y)
-    _suffix_broadcast("sub", x, y)
+    out = _elementwise("sub", np.subtract, x, y)
     sx, sy = x.value.shape, y.value.shape
 
     def vjp(g):
         return (_unbroadcast(g, sx), -_unbroadcast(g, sy))
 
-    return tape._record("sub", x.value - y.value, (x, y), vjp)
+    return tape._record("sub", out, (x, y), vjp)
 
 
 def mul(x: Var, y: Var) -> Var:
     tape = _same_tape("mul", x, y)
-    _suffix_broadcast("mul", x, y)
+    out = _elementwise("mul", np.multiply, x, y)
     xv, yv = x.value, y.value
 
     def vjp(g):
         return (_unbroadcast(g * yv, xv.shape), _unbroadcast(g * xv, yv.shape))
 
-    return tape._record("mul", xv * yv, (x, y), vjp)
+    return tape._record("mul", out, (x, y), vjp)
 
 
 def div(x: Var, y: Var) -> Var:
     tape = _same_tape("div", x, y)
-    _suffix_broadcast("div", x, y)
+    out = _elementwise("div", np.divide, x, y)
     xv, yv = x.value, y.value
 
     def vjp(g):
@@ -195,7 +194,7 @@ def div(x: Var, y: Var) -> Var:
             _unbroadcast(-g * xv / (yv * yv), yv.shape),
         )
 
-    return tape._record("div", xv / yv, (x, y), vjp)
+    return tape._record("div", out, (x, y), vjp)
 
 
 def scale(x: Var, factor: float) -> Var:
@@ -208,14 +207,12 @@ def scale(x: Var, factor: float) -> Var:
 def matmul(a: Var, b: Var) -> Var:
     tape = _same_tape("matmul", a, b)
     av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(
             f"matmul: operand shapes {av.shape} and {bv.shape} are incompatible"
         )
 
     def vjp(g):
-        if bv.ndim == 1:
-            return (np.outer(g, bv), av.T @ g)
         return (g @ bv.T, av.T @ g)
 
     return tape._record("matmul", av @ bv, (a, b), vjp)
@@ -268,7 +265,8 @@ def tanh(x: Var) -> Var:
 
 
 def norm(x: Var) -> Var:
-    """Euclidean norm along the last axis, smoothed near zero.
+    """Euclidean norm along the last axis, kept as an axis of size 1,
+    smoothed near zero.
 
     Computes sqrt(|x|^2 + NORM_EPS); the smoothing is part of the traced
     function, so analytic and finite-difference gradients agree and the
@@ -277,10 +275,10 @@ def norm(x: Var) -> Var:
     xv = x.value
     if xv.ndim < 1:
         raise ShapeError("norm: input must have at least one axis")
-    out = np.sqrt((xv * xv).sum(axis=-1) + NORM_EPS)
+    out = np.sqrt((xv * xv).sum(axis=-1, keepdims=True) + NORM_EPS)
 
     def vjp(g):
-        return ((g / out)[..., None] * xv,)
+        return ((g / out) * xv,)
 
     return x.tape._record("norm", out, (x,), vjp)
 

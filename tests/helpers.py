@@ -23,6 +23,11 @@ def fd_gradient(f, x, h=1e-5):
     return grad
 
 
+def count_params(params) -> int:
+    """Scalars in every array of a `DenoiserParams`, fixed tables included."""
+    return sum(arr.size for arr in params.arrays.values())
+
+
 def max_rel_err(analytic, numeric, floor=1e-6):
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, linf_distance, max_rel_err, random_rotation
+from helpers import count_params, fd_gradient, linf_distance, max_rel_err, random_rotation
 from pepring import cli
 from pepring import config as CF
 from pepring import constraints as C
@@ -28,6 +28,7 @@ RBF = E.RbfSpec()
 EXPERIMENT_LENGTH = 12
 SAMPLES_PER_CONDITION = 50
 TOLERANCE = 0.5
+ENERGY_SCALE_SWEEP = (10.0, 30.0, 50.0)
 
 
 def report(criterion: int, detail: str):
@@ -107,7 +108,7 @@ def test_criterion_3_gradient_correctness():
         rbf_d_max=16.0,
     )
     params = D.init_params(cfg, seed=303)
-    assert D.count_params(params) <= 500
+    assert count_params(params) <= 500
     g = G.generate_chain(5, seed=303)
     rng = np.random.default_rng(304)
     pair = C.ConstraintPair(
@@ -140,7 +141,7 @@ def test_criterion_3_gradient_correctness():
         worst = max(worst, max_rel_err(analytic, numeric))
         n_checked += analytic.size
     assert worst < 1e-4, f"gradient mismatch {worst:.2e}"
-    report(3, f"{n_checked} trainable parameters of {D.count_params(params)} total, max rel err {worst:.2e}")
+    report(3, f"{n_checked} trainable parameters of {count_params(params)} total, max rel err {worst:.2e}")
 
 
 def test_criterion_4_cfg_algebra():
@@ -244,7 +245,7 @@ def test_criterion_6_energy_guidance_baseline(desk_model):
     )
 
     best_scale, best = None, np.inf
-    for scale in DF.ENERGY_SCALE_SWEEP:
+    for scale in ENERGY_SCALE_SWEEP:
         guided = _sample_many(
             params, schedule, head_tail, DF.GuidanceConfig("energy", energy_scale=scale),
             SAMPLES_PER_CONDITION, 61,

@@ -355,15 +355,25 @@ class TestRerun:
         assert run("rerun", "--manifest", out / "manifest.json", "--out", out2) == 0
         assert (out / "samples.jsonl").read_bytes() == (out2 / "samples.jsonl").read_bytes()
 
+    # a stored value of a type its option never produces
+    WRONG_TYPES = {"count": "3", "type_weights": 5, "seed": 1.5, "w": "5", "anchors": 5}
+
     @pytest.mark.parametrize("case, named", [
-        ("missing-arg", "seed"), ("schema-mismatch", "99"), ("top-level-list", "list")])
-    def test_malformed_manifest_is_usage_error(self, tmp_path, checkpoint, capsys, case, named):
+        ("missing-arg", "seed"), ("schema-mismatch", "99"), ("top-level-list", "list"),
+        ("wrong-type", "count"), ("wrong-type", "type_weights"), ("wrong-type", "seed"),
+        ("wrong-type", "w"), ("wrong-type", "anchors")])
+    def test_malformed_manifest_is_usage_error(self, tmp_path, dataset, checkpoint, capsys,
+                                               case, named):
         out = tmp_path / "s"
         assert run("sample", "--checkpoint", checkpoint, "--strategy", "head-to-tail",
                    "--length", 6, "--num", 1, "--out", out) == 0
         doc = json.loads((out / "manifest.json").read_text())
         if case == "missing-arg":
             del doc["args"]["seed"]
+        elif case == "wrong-type":
+            if named not in doc["args"]:  # a gen-data option
+                doc = json.loads((dataset.parent / "manifest.json").read_text())
+            doc["args"][named] = self.WRONG_TYPES[named]
         elif case == "schema-mismatch":
             doc["schema_versions"]["manifest"] = 99
         else:
@@ -402,6 +412,9 @@ BAD_INPUTS = {
                          "--length", "30"],
     "sample-t-steps-mismatch": ["sample", "--checkpoint", "{ckpt}", "--strategy",
                                 "head-to-tail", "--length", "8", "--set", "t_steps=50"],
+    "sample-hidden-override": ["sample", "--checkpoint", "{ckpt}", "--strategy",
+                               "head-to-tail", "--length", "8", "--set", "hidden=64",
+                               "--set", "rbf_channels=8"],
     "sample-constraint-file-not-utf8": ["sample", "--checkpoint", "{ckpt}",
                                         "--constraint-file", "{not_utf8}", "--length", "8"],
     "sample-checkpoint-not-utf8": ["sample", "--checkpoint", "{not_utf8}", "--strategy",
@@ -447,6 +460,12 @@ NON_FINITE_OR_OUT_OF_RANGE = {
     "check-tol-nan": ["check", "--tol", "nan"],
     "check-tolerance-negative": ["check", "--set", "tolerance=-1"],
     "eval-tol-inf": ["eval", "--tol", "inf"],
+    "train-coord-scale-0": ["train", "--data", "{data}", "--set", "coord_scale=0"],
+    "train-coord-scale-negative": ["train", "--data", "{data}", "--set", "coord_scale=-1"],
+    "train-coord-scale-nan": ["train", "--data", "{data}", "--set", "coord_scale=nan"],
+    "train-embed-scale-nan": ["train", "--data", "{data}", "--set", "embed_scale=nan"],
+    "train-beta-end-nan": ["train", "--data", "{data}", "--set", "beta_end=nan"],
+    "train-rbf-d-max-inf": ["train", "--data", "{data}", "--set", "rbf_d_max=inf"],
 }
 
 

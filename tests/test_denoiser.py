@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, max_rel_err, random_rotation
+from helpers import count_params, fd_gradient, max_rel_err, random_rotation
 from pepring import constraints as C
 from pepring import denoiser as D
 from pepring import encoding as E
@@ -148,18 +148,18 @@ class TestCountParams:
         )
         params = D.init_params(cfg, seed=0)
         expected = sum(int(np.prod(s)) for _, s in D.parameter_shapes(cfg))
-        assert D.count_params(params) == expected
+        assert count_params(params) == expected
         assert expected <= 500
 
     def test_wider_network_has_more_params(self):
         a = D.init_params(D.DenoiserConfig(hidden=8, layers=1, t_steps=4), seed=0)
         b = D.init_params(D.DenoiserConfig(hidden=16, layers=1, t_steps=4), seed=0)
-        assert D.count_params(b) > D.count_params(a)
+        assert count_params(b) > count_params(a)
 
     def test_zero_layers_counts_only_tables(self):
         cfg = D.DenoiserConfig(latent_dim=8, hidden=32, layers=0, t_embed_dim=4, t_steps=6)
         params = D.init_params(cfg, seed=0)
-        assert D.count_params(params) == G.N_TYPES * 8 + 6 * 4
+        assert count_params(params) == G.N_TYPES * 8 + 6 * 4
 
 
 def test_zero_layer_network_predicts_zero():

@@ -145,11 +145,11 @@ class TestSuccessRate:
     def test_all_pass(self):
         samples = {"a": [_passing_graph()], "b": [_passing_graph()]}
         constraints = {k: self.pair() for k in samples}
-        assert M.success_rate(samples, constraints, tol=0.5) == 1.0
+        assert M.success_rate(samples, constraints, tol=0.5)[0] == 1.0
 
     def test_one_pass_among_five_counts(self):
         samples = {"a": [_failing_graph()] * 4 + [_passing_graph()]}
-        assert M.success_rate(samples, {"a": self.pair()}, tol=0.5) == 1.0
+        assert M.success_rate(samples, {"a": self.pair()}, tol=0.5)[0] == 1.0
 
     def test_fraction_over_targets(self):
         samples = {}
@@ -158,7 +158,7 @@ class TestSuccessRate:
             key = f"t{k}"
             samples[key] = [_passing_graph() if k < 3 else _failing_graph()]
             constraints[key] = self.pair()
-        assert M.success_rate(samples, constraints, tol=0.5) == pytest.approx(0.3)
+        assert M.success_rate(samples, constraints, tol=0.5)[0] == pytest.approx(0.3)
 
     def test_missing_constraint_errors(self):
         with pytest.raises(KeyError):
@@ -178,7 +178,7 @@ class TestSuccessRate:
             )
             samples[f"t{k}"] = [g]
         rates = [
-            M.success_rate(samples, constraints, tol)
+            M.success_rate(samples, constraints, tol)[0]
             for tol in (0.1, 0.3, 0.5, 1.0, 2.0)
         ]
         assert all(a <= b for a, b in zip(rates, rates[1:]))

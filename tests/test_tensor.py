@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from helpers import fd_gradient, max_rel_err
 from pepring import tensor as T
@@ -18,7 +21,7 @@ def test_add_elementwise():
 
 def test_matmul_identity():
     tape = T.Tape()
-    v = tape.leaf([1.0, -2.0, 0.5])
+    v = tape.leaf([[1.0], [-2.0], [0.5]])
     out = T.matmul(tape.constant(np.eye(3)), v)
     assert np.allclose(out.value, v.value, atol=0, rtol=0)
 
@@ -113,7 +116,7 @@ def _fd_check(build, shapes, seed, tol=1e-4):
         ("div", lambda t, a, b: scalar_loss(T.div(a, T.add(T.mul(b, b), t.constant(1.0)))), [(4,), (4,)]),
         ("scale", lambda t, a: scalar_loss(T.scale(a, -1.7)), [(6,)]),
         ("matmul", lambda t, a, b: scalar_loss(T.matmul(a, b)), [(3, 4), (4, 2)]),
-        ("matvec", lambda t, a, b: scalar_loss(T.matmul(a, b)), [(3, 4), (4,)]),
+        ("mul_column", lambda t, a, b: scalar_loss(T.mul(a, b)), [(3, 4), (3, 1)]),
         ("sum_axis", lambda t, a: scalar_loss(T.reduce_sum(a, axis=1, keepdims=True)), [(3, 5)]),
         ("sum_all", lambda t, a: T.mul(T.reduce_sum(a), T.reduce_sum(a)), [(3, 2)]),
         ("broadcast", lambda t, a: scalar_loss(T.broadcast(a, (4,))), [(3,)]),
@@ -126,11 +129,47 @@ def _fd_check(build, shapes, seed, tol=1e-4):
         ("segment_sum", lambda t, a: scalar_loss(T.segment_sum(a, [2, 0, 3, 1])), [(6, 2)]),
         ("segment_sum_weighted", lambda t, a: scalar_loss(
             T.segment_sum(a, [2, 0, 3, 1], np.array([[0.5], [2.0], [-1.0], [0.0]]))), [(6, 2)]),
+        ("sub_outer", lambda t, a, b: scalar_loss(T.sub(a, b)), [(3, 1), (1, 4)]),
+        ("add_outer", lambda t, a, b: scalar_loss(T.add(a, b)), [(1, 4), (3, 1)]),
+        ("div_column", lambda t, a, b: scalar_loss(T.div(a, T.add(T.mul(b, b), t.constant(1.0)))),
+         [(2, 3), (2, 1)]),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
     for seed in (0, 1, 2):
         _fd_check(build, shapes, seed=seed)
+
+
+ELEMENTWISE = [(T.add, np.add), (T.sub, np.subtract), (T.mul, np.multiply), (T.div, np.divide)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+       st.integers(0, 2**32 - 1))
+def test_elementwise_broadcast_matches_numpy(shapes, seed):
+    sx, sy = shapes.input_shapes
+    rng = np.random.default_rng(seed)
+    xv = rng.uniform(-2.0, 2.0, size=sx)
+    yv = rng.uniform(0.5, 2.0, size=sy) * rng.choice([-1.0, 1.0], size=sy)  # away from 0 for div
+    weights = rng.uniform(-1.0, 1.0, size=shapes.result_shape)
+    for op, np_op in ELEMENTWISE:
+        def loss(tape, a, b):
+            return T.reduce_sum(T.mul(op(a, b), tape.constant(weights)))
+
+        tape = T.Tape()
+        x, y = tape.leaf(xv), tape.leaf(yv)
+        assert np.array_equal(op(x, y).value, np_op(xv, yv))
+        adj = T.backward(tape, loss(tape, x, y))
+        for k, (leaf, value) in enumerate(((x, xv), (y, yv))):
+            def f(v, k=k):
+                t2 = T.Tape()
+                args = [xv, yv]
+                args[k] = v
+                return float(loss(t2, *(t2.leaf(a) for a in args)).value)
+
+            grad = T.gradient(adj, leaf)
+            assert grad.shape == value.shape
+            assert max_rel_err(grad, fd_gradient(f, value)) < 1e-5
 
 
 def test_composed_mlp_gradient():
