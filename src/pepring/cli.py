@@ -142,15 +142,15 @@ def _manifest_args(args) -> dict:
     return out
 
 
-def write_manifest(out_dir: Path, command: str, args, cfg=None, outputs=(), extra=None,
-                   started=None, elapsed=None) -> Path:
+def write_manifest(out_dir: Path, command: str, args, *, outputs, started, cfg=None,
+                   extra=None, elapsed=None) -> Path:
     doc = {
         "schema_versions": SCHEMA_VERSIONS,
         "command": command,
         "args": _manifest_args(args),
         "config": cfg,
         "outputs": list(outputs),
-        "started_utc": started or _utc_now(),
+        "started_utc": started,
         "elapsed_s": elapsed,
     }
     if extra:
@@ -378,6 +378,13 @@ def cmd_eval(args) -> int:
         raise UsageError(f"no samples in {args.samples}")
     if not reference:
         raise UsageError(f"no reference structures in {args.reference}")
+    for path, graphs in ((args.samples, generated), (args.reference, reference)):
+        for idx, g in enumerate(graphs):
+            if g.n_peptide < 4:
+                raise UsageError(
+                    f"structure {idx} in {path} has {g.n_peptide} residues; "
+                    "a pseudo-dihedral needs at least 4"
+                )
     k = args.per_target
     if k < 1 or len(generated) % k:
         raise UsageError(

@@ -20,7 +20,6 @@ from .graph import AA_INDEX, AA_LETTERS, CYS, ASP, GLU, LYS, N_TYPES, GeometricG
 MAX_TYPE_ENTRIES = 4
 MAX_DISTANCE_ENTRIES = 6
 SAMPLED_SEPARATIONS = (3, 4, 6)
-DEFAULT_TOLERANCE = 0.5  # Angstrom, closed interval
 
 STAPLED_D = "stapled-d"
 STAPLED_E = "stapled-e"
@@ -267,10 +266,9 @@ class SatisfactionReport:
     passed: bool
 
 
-def check_satisfaction(
-    g: GeometricGraph, pair: ConstraintPair, tol: float = DEFAULT_TOLERANCE
-) -> SatisfactionReport:
-    """Per-entry pass/fail: exact type match, distances within a closed tolerance."""
+def check_satisfaction(g: GeometricGraph, pair: ConstraintPair, tol: float) -> SatisfactionReport:
+    """Per-entry pass/fail: exact type match, distances within the closed
+    tolerance `tol` (Angstrom)."""
     n = g.n_peptide
     if pair.max_node() >= n:
         raise ConstraintError(

@@ -50,8 +50,8 @@ class DenoiserConfig:
     embed_scale: float | None = None
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.hidden < 1 or self.layers < 0:
-            raise ValueError("latent_dim and hidden must be >= 1, layers >= 0")
+        if self.latent_dim < 1 or self.hidden < 1 or self.layers < 1:
+            raise ValueError("latent_dim, hidden and layers must be >= 1")
         if self.t_embed_dim % 2:
             raise ValueError("t_embed_dim must be even")
         if self.t_steps < 1:
@@ -75,7 +75,11 @@ class DenoiserConfig:
 class DenoiserParams:
     config: DenoiserConfig
     arrays: dict[str, np.ndarray]
-    trainable: tuple[str, ...]
+
+    @property
+    def trainable(self) -> tuple[str, ...]:
+        """Every array but FIXED_ARRAYS, in layout order."""
+        return tuple(n for n, _ in parameter_shapes(self.config) if n not in FIXED_ARRAYS)
 
     @property
     def codec(self) -> CodecParams:
@@ -118,8 +122,6 @@ def parameter_shapes(cfg: DenoiserConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("codec.table", (N_TYPES, cfg.latent_dim)),
         ("time.table", (cfg.t_steps, cfg.t_embed_dim)),
     ]
-    if cfg.layers == 0:
-        return shapes
     h = cfg.hidden
     shapes += [("input.w", (cfg.input_width, h)), ("input.b", (h,))]
     for layer in range(cfg.layers):
@@ -155,8 +157,7 @@ def init_params(cfg: DenoiserConfig, seed: int) -> DenoiserParams:
         else:
             fan_in = shape[0]
             arrays[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-    trainable = tuple(n for n, _ in parameter_shapes(cfg) if n not in FIXED_ARRAYS)
-    return DenoiserParams(config=cfg, arrays=arrays, trainable=trainable)
+    return DenoiserParams(config=cfg, arrays=arrays)
 
 
 class DenoiserBatch:
@@ -321,11 +322,6 @@ def trace_noise_prediction(tape: T.Tape, getp, cfg: DenoiserConfig,
         if not 1 <= one.t <= cfg.t_steps:
             raise ValueError(f"diffusion step {one.t} outside [1, {cfg.t_steps}]")
     n = int(batch.offsets[-1])
-    if cfg.layers == 0:
-        zero_inv = tape.constant(np.zeros((n, cfg.latent_dim)))
-        zero_eqv = tape.constant(np.zeros((n, 3)))
-        return zero_inv, zero_eqv
-
     lay = _layout(tuple((one.latent.n_nodes, one.n_context) for one in batch.inputs))
     total = len(lay.block)
     inv_all, x = inv, eqv
@@ -391,10 +387,13 @@ def predict_noise(params: DenoiserParams,
     estimates, under the given conditioning."""
     batch = as_batch(inp)
     tape = T.Tape()
-    consts = {name: tape.constant(arr) for name, arr in params.arrays.items()}
+
+    def getp(name):
+        # an array enters the tape only if this pass reads it
+        return tape.constant(params.arrays[name])
+
     out_inv, out_eqv = trace_noise_prediction(
-        tape, consts.__getitem__, params.config, tape.constant(batch.inv),
-        tape.constant(batch.eqv), batch
+        tape, getp, params.config, tape.constant(batch.inv), tape.constant(batch.eqv), batch
     )
     return out_inv.value, out_eqv.value
 
@@ -410,6 +409,7 @@ def save_checkpoint(params: DenoiserParams, path, run_config: dict | None = None
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": asdict(params.config),
         "run_config": dict(run_config or {}),
+        # derived from the layout: written for readers, never read back
         "trainable": list(params.trainable),
         "arrays": {
             name: {
@@ -457,10 +457,10 @@ def load_checkpoint(path) -> DenoiserParams:
         cfg = DenoiserConfig(**doc["config"])
         arrays = {}
         for name, spec in doc["arrays"].items():
+            if spec["dtype"] != "<f8":
+                raise ValueError(f"array {name} has dtype {spec['dtype']!r}, not '<f8'")
             raw = base64.b64decode(spec["data"])
-            arr = np.frombuffer(raw, dtype=spec["dtype"]).reshape(spec["shape"]).copy()
-            arrays[name] = arr
-        trainable = tuple(doc["trainable"])
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).copy()
     except KeyError as err:
         raise CheckpointError(f"checkpoint lacks field {err}") from None
     except (TypeError, ValueError, AttributeError) as err:
@@ -473,4 +473,6 @@ def load_checkpoint(path) -> DenoiserParams:
             raise CheckpointError(
                 f"array {name} has shape {arrays[name].shape}, expected {shape}"
             )
-    return DenoiserParams(config=cfg, arrays=arrays, trainable=trainable)
+        if not np.all(np.isfinite(arrays[name])):
+            raise CheckpointError(f"array {name} holds non-finite values")
+    return DenoiserParams(config=cfg, arrays=arrays)

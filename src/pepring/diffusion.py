@@ -92,7 +92,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 0.0
     batch_size: int = 16
-    epochs: int = 10
+    epochs: int = 30
     seed: int = 0
 
     def __post_init__(self):
@@ -153,25 +153,25 @@ def forward_noise(
 class AdamW:
     """Decoupled-weight-decay adaptive moments over named arrays."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], names, lr=1e-4,
-                 betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, arrays: dict[str, np.ndarray], names, lr: float, weight_decay: float):
         self.arrays = arrays
         self.names = tuple(names)
-        self.lr, self.beta1, self.beta2 = lr, betas[0], betas[1]
-        self.eps, self.weight_decay = eps, weight_decay
+        self.lr, self.weight_decay = lr, weight_decay
         self.step_count = 0
         self.m = {n: np.zeros_like(arrays[n]) for n in self.names}
         self.v = {n: np.zeros_like(arrays[n]) for n in self.names}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        b1c = 1.0 - self.beta1 ** self.step_count
-        b2c = 1.0 - self.beta2 ** self.step_count
+        b1c = 1.0 - self.BETA1 ** self.step_count
+        b2c = 1.0 - self.BETA2 ** self.step_count
         for n in self.names:
             g = grads[n]
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            update = (self.m[n] / b1c) / (np.sqrt(self.v[n] / b2c) + self.eps)
+            self.m[n] = self.BETA1 * self.m[n] + (1.0 - self.BETA1) * g
+            self.v[n] = self.BETA2 * self.v[n] + (1.0 - self.BETA2) * g * g
+            update = (self.m[n] / b1c) / (np.sqrt(self.v[n] / b2c) + self.EPS)
             self.arrays[n] = self.arrays[n] * (1.0 - self.lr * self.weight_decay) - self.lr * update
 
 
@@ -247,7 +247,7 @@ def train(
     data: list[GeometricGraph],
     cfg: TrainConfig,
     schedule: DiffusionSchedule,
-    net: DenoiserConfig | None = None,
+    net: DenoiserConfig,
     observer=None,
 ) -> tuple[DenoiserParams, list[float]]:
     """Noise-prediction training with constraint dropout.
@@ -259,7 +259,6 @@ def train(
     """
     if not data:
         raise ValueError("training data is empty")
-    net = net or DenoiserConfig()
     if net.t_steps != schedule.t_steps:
         raise ValueError(
             f"network expects {net.t_steps} steps, schedule has {schedule.t_steps}"
@@ -267,10 +266,8 @@ def train(
     rbf = net.rbf_spec()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(net, seed=cfg.seed)
-    opt = AdamW(
-        params.arrays, params.trainable, lr=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-    )
+    trainable = params.trainable
+    opt = AdamW(params.arrays, trainable, cfg.learning_rate, cfg.weight_decay)
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -284,12 +281,12 @@ def train(
                 (idx, *_training_example(data[idx], params, schedule, cfg, rbf, rng))
                 for idx in batch
             ]
-            grads = {n: np.zeros_like(params.arrays[n]) for n in params.trainable}
+            grads = {n: np.zeros_like(params.arrays[n]) for n in trainable}
             for group in _tape_groups(examples):
                 graphs, pairs, inputs, eps_inv, eps_eqv = zip(*group)
                 tape = T.Tape()
                 pvars = {
-                    n: (tape.leaf(a) if n in params.trainable else tape.constant(a))
+                    n: (tape.leaf(a) if n in trainable else tape.constant(a))
                     for n, a in params.arrays.items()
                 }
                 group_losses: list[float] = []
@@ -305,7 +302,7 @@ def train(
                     ) from None
                 # each tape's share of the minibatch mean
                 adjoints = T.backward(tape, T.scale(loss, 1.0 / len(batch)))
-                for n in params.trainable:
+                for n in trainable:
                     grads[n] += T.gradient(adjoints, pvars[n])
                 for pair, inp, value in zip(pairs, inputs, group_losses):
                     losses.append(value)

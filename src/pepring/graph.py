@@ -46,34 +46,28 @@ class GeometricGraph:
 
     types: np.ndarray  # int64 [n_total]
     coords: np.ndarray  # float64 [n_total, 3]
-    is_context: np.ndarray  # bool [n_total]
+    n_context: int  # the last n_context nodes are context
 
     def __post_init__(self):
         types = np.ascontiguousarray(self.types, dtype=np.int64)
         coords = np.ascontiguousarray(self.coords, dtype=np.float64)
-        is_context = np.ascontiguousarray(self.is_context, dtype=bool)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise StructureError(f"coords must be [n, 3], got {coords.shape}")
         n = coords.shape[0]
-        if types.shape != (n,) or is_context.shape != (n,):
-            raise StructureError("types / is_context length mismatch with coords")
+        if types.shape != (n,) or not 0 <= self.n_context <= n:
+            raise StructureError("types / n_context mismatch with coords")
         if not np.all(np.isfinite(coords)):
             raise StructureError("coordinates contain non-finite values")
         if n and (types.min() < 0 or types.max() >= N_TYPES):
             raise StructureError(f"type index outside [0, {N_TYPES})")
-        n_ctx = int(is_context.sum())
-        if n_ctx and not np.all(is_context[n - n_ctx:]):
-            raise StructureError("context nodes must come after all peptide nodes")
-        for name, arr in (("types", types), ("coords", coords), ("is_context", is_context)):
+        for name, arr in (("types", types), ("coords", coords)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_n_context", n_ctx)
 
     @classmethod
     def from_parts(cls, types, coords, context_types=None, context_coords=None) -> "GeometricGraph":
         types = np.asarray(types, dtype=np.int64)
         coords = np.asarray(coords, dtype=np.float64)
-        n_pep = len(types)
         if context_types is None:
             context_types = np.zeros(0, dtype=np.int64)
             context_coords = np.zeros((0, 3), dtype=np.float64)
@@ -82,9 +76,7 @@ class GeometricGraph:
         return cls(
             types=np.concatenate([types, context_types]),
             coords=np.concatenate([coords.reshape(-1, 3), context_coords]),
-            is_context=np.concatenate(
-                [np.zeros(n_pep, dtype=bool), np.ones(len(context_types), dtype=bool)]
-            ),
+            n_context=len(context_types),
         )
 
     @property
@@ -92,12 +84,8 @@ class GeometricGraph:
         return self.coords.shape[0]
 
     @property
-    def n_context(self) -> int:
-        return self._n_context
-
-    @property
     def n_peptide(self) -> int:
-        return self.coords.shape[0] - self._n_context
+        return self.coords.shape[0] - self.n_context
 
     @property
     def peptide_types(self) -> np.ndarray:
@@ -114,9 +102,6 @@ class GeometricGraph:
     @property
     def context_coords(self) -> np.ndarray:
         return self.coords[self.n_peptide:]
-
-    def sequence(self) -> str:
-        return "".join(AA_LETTERS[t] for t in self.peptide_types)
 
 
 @dataclass(frozen=True)
@@ -141,12 +126,8 @@ class LatentGraph:
     def n_nodes(self) -> int:
         return self.inv.shape[0]
 
-    def replace(self, inv=None, eqv=None) -> "LatentGraph":
-        return LatentGraph(
-            inv=self.inv if inv is None else inv,
-            eqv=self.eqv if eqv is None else eqv,
-            center=self.center,
-        )
+    def replace(self, inv, eqv) -> "LatentGraph":
+        return LatentGraph(inv=inv, eqv=eqv, center=self.center)
 
 
 @dataclass(frozen=True)
@@ -154,7 +135,7 @@ class CodecParams:
     """Type-embedding table and coordinate normalization of the latent codec."""
 
     table: np.ndarray  # [N_TYPES, latent_dim]
-    coord_scale: float = 0.1  # 1/Angstrom
+    coord_scale: float  # 1/Angstrom
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.float64)
@@ -170,7 +151,7 @@ class CodecParams:
 _EMBED_PROJECTION_SEED = 20240713
 
 
-def init_embedding_table(latent_dim: int = 8, scale: float | None = None) -> np.ndarray:
+def init_embedding_table(latent_dim: int, scale: float | None = None) -> np.ndarray:
     """Well-separated type embeddings: simplex vertices projected down.
 
     The N_TYPES simplex vertices in R^N_TYPES are projected onto a fixed
@@ -330,7 +311,7 @@ def _parse_types(raw, lineno: int, key: str) -> np.ndarray:
     return arr
 
 
-def parse_structure(line: str, lineno: int = 1) -> GeometricGraph:
+def parse_structure(line: str, lineno: int) -> GeometricGraph:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as err:

@@ -24,10 +24,10 @@ HISTOGRAM_SMOOTHING = 1e-6
 DIHEDRAL_BINS = 36
 
 
-def kl_divergence(ref_counts, gen_counts, smoothing: float = HISTOGRAM_SMOOTHING) -> float:
+def kl_divergence(ref_counts, gen_counts) -> float:
     """KL(ref || gen) between two count histograms after additive smoothing."""
-    p = np.asarray(ref_counts, dtype=np.float64) + smoothing
-    q = np.asarray(gen_counts, dtype=np.float64) + smoothing
+    p = np.asarray(ref_counts, dtype=np.float64) + HISTOGRAM_SMOOTHING
+    q = np.asarray(gen_counts, dtype=np.float64) + HISTOGRAM_SMOOTHING
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("histograms must be equal-length vectors")
     p = p / p.sum()
@@ -95,13 +95,13 @@ def dihedral_angles(g: GeometricGraph) -> np.ndarray:
     ])
 
 
-def dihedral_histogram(graphs: Sequence[GeometricGraph], bins: int = DIHEDRAL_BINS):
+def dihedral_histogram(graphs: Sequence[GeometricGraph]):
     """Counts over (-pi, pi] bins that are open on the left, closed on the right."""
-    width = 2.0 * math.pi / bins
-    counts = np.zeros(bins)
+    width = 2.0 * math.pi / DIHEDRAL_BINS
+    counts = np.zeros(DIHEDRAL_BINS)
     for g in graphs:
         for angle in dihedral_angles(g):
-            idx = min(max(math.ceil((angle + math.pi) / width) - 1, 0), bins - 1)
+            idx = min(max(math.ceil((angle + math.pi) / width) - 1, 0), DIHEDRAL_BINS - 1)
             counts[idx] += 1
     return counts
 
@@ -109,13 +109,10 @@ def dihedral_histogram(graphs: Sequence[GeometricGraph], bins: int = DIHEDRAL_BI
 def pseudo_dihedral_kl(
     reference: Sequence[GeometricGraph],
     generated: Sequence[GeometricGraph],
-    bins: int = DIHEDRAL_BINS,
 ) -> float:
     if not reference or not generated:
         raise ValueError("need non-empty reference and generated sets")
-    return kl_divergence(
-        dihedral_histogram(reference, bins), dihedral_histogram(generated, bins)
-    )
+    return kl_divergence(dihedral_histogram(reference), dihedral_histogram(generated))
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,6 @@ def evaluate(
     constraints: Mapping[str, ConstraintPair],
     reference: Sequence[GeometricGraph],
     tol: float,
-    bins: int = DIHEDRAL_BINS,
 ) -> MetricReport:
     """Full metric suite over per-target sample groups.
 
@@ -197,7 +193,7 @@ def evaluate(
     return MetricReport(
         success_rate=rate,
         aa_kl=aa_kl(reference, pooled, excluded),
-        dihedral_kl=pseudo_dihedral_kl(reference, pooled, bins),
+        dihedral_kl=pseudo_dihedral_kl(reference, pooled),
         targets=targets,
         excluded_types=tuple(sorted(excluded)),
         tolerance=tol,

@@ -90,7 +90,7 @@ class Tape:
         return out
 
 
-def backward(tape: Tape, output: Var, seed: float = 1.0) -> dict[int, np.ndarray]:
+def backward(tape: Tape, output: Var) -> dict[int, np.ndarray]:
     """Accumulate adjoints of a scalar output back to the tape's inputs.
 
     Each record's adjoint is dropped once the sweep has passed it, so the
@@ -102,7 +102,7 @@ def backward(tape: Tape, output: Var, seed: float = 1.0) -> dict[int, np.ndarray
         raise ShapeError(
             f"backward: output must be a scalar, got shape {output.value.shape}"
         )
-    adjoints: dict[int, np.ndarray] = {output.vid: np.asarray(float(seed))}
+    adjoints: dict[int, np.ndarray] = {output.vid: np.asarray(1.0)}
     for out_id, in_ids, vjp in reversed(tape._records):
         g = adjoints.pop(out_id, None)
         if g is None:

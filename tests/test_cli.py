@@ -1,10 +1,17 @@
 import base64
+import contextlib
+import functools
 import importlib
+import io
 import json
 import multiprocessing.pool
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pepring import cli
 from pepring import config as CF
@@ -249,6 +256,12 @@ def _corrupt_checkpoint(doc, case):
     elif case == "corrupt-array":
         name = next(iter(doc["arrays"]))
         doc["arrays"][name]["data"] = base64.b64encode(b"\x00" * 7).decode("ascii")
+    elif case == "non-finite-array":
+        arr = np.frombuffer(base64.b64decode(doc["arrays"]["out_inv.b"]["data"]), "<f8").copy()
+        arr[0] = np.nan
+        doc["arrays"]["out_inv.b"]["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    elif case == "bytes-dtype":
+        doc["arrays"]["out_inv.b"]["dtype"] = "|S8"
     elif case == "run-config-list":
         doc["run_config"] = list(doc["run_config"])
     elif case == "top-level-list":
@@ -257,7 +270,8 @@ def _corrupt_checkpoint(doc, case):
 
 
 @pytest.mark.parametrize("case", ["no-config", "unknown-config-field", "corrupt-array",
-                                  "run-config-list", "top-level-list"])
+                                  "non-finite-array", "bytes-dtype", "run-config-list",
+                                  "top-level-list"])
 def test_malformed_checkpoint_is_usage_error(tmp_path, checkpoint, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_corrupt_checkpoint(json.loads(checkpoint.read_text()), case)))
@@ -265,6 +279,59 @@ def test_malformed_checkpoint_is_usage_error(tmp_path, checkpoint, capsys, case)
                "--length", 6, "--out", tmp_path / "s") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if case == "non-finite-array":
+        assert "out_inv.b" in err
+
+
+def _exit_code_and_stderr(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _file_texts():
+    """A tiny checkpoint and a structure file with a context-carrying record."""
+    cfg = CF.resolve(CF.parse_overrides(TINY_TRAIN[1::2]))
+    graphs = [G.generate_chain(n, seed=n) for n in (4, 7)]
+    graphs.append(G.GeometricGraph.from_parts(
+        graphs[0].peptide_types, graphs[0].peptide_coords, [2, 5], [[9.0, 0, 0], [12.0, 0, 0]]
+    ))
+    with tempfile.TemporaryDirectory() as d:
+        D.save_checkpoint(D.init_params(CF.denoiser_config(cfg), 0), Path(d) / "c.json",
+                          run_config=cfg)
+        G.write_structures(Path(d) / "s.jsonl", graphs)
+        return (Path(d) / "c.json").read_text(), (Path(d) / "s.jsonl").read_text()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_structure_file_cut_inside_a_record_is_usage_error(data):
+    text = _file_texts()[1]
+    starts = [0] + [k + 1 for k, c in enumerate(text) if c == "\n"][:-1]
+    start = data.draw(st.sampled_from(starts))
+    cut = data.draw(st.integers(start + 1, text.index("\n", start) - 1))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cut.jsonl"
+        path.write_text(text[:cut])
+        code, err = _exit_code_and_stderr("check", "--structures", path,
+                                          "--strategy", "head-to-tail")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_checkpoint_cut_before_its_closing_brace_is_usage_error(data):
+    text = _file_texts()[0]
+    cut = data.draw(st.integers(0, text.rindex("}") - 1))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cut.json"
+        path.write_text(text[:cut])
+        code, err = _exit_code_and_stderr("sample", "--checkpoint", path, "--strategy",
+                                          "head-to-tail", "--length", 6, "--out", Path(d) / "s")
+        assert not (Path(d) / "s").exists()
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCheck:
@@ -397,6 +464,7 @@ NOT_UTF8 = b"\xff\xfe not utf-8\n"
 BAD_INPUTS = {
     "train-epochs-0": ["train", "--data", "{data}", "--set", "epochs=0"],
     "train-hidden-0": ["train", "--data", "{data}", "--set", "hidden=0"],
+    "train-layers-0": ["train", "--data", "{data}", "--set", "layers=0"],
     "train-odd-t-embed": ["train", "--data", "{data}", "--set", "t_embed_dim=3"],
     "train-one-rbf-channel": ["train", "--data", "{data}", "--set", "rbf_channels=1"],
     "train-beta-end-2": ["train", "--data", "{data}", "--set", "beta_end=2"],
@@ -423,6 +491,10 @@ BAD_INPUTS = {
     "gen-data-weights-all-zero": ["gen-data", "--count", "2",
                                   "--type-weights", ",".join(["0"] * G.N_TYPES)],
     "rerun-manifest-not-utf8": ["rerun", "--manifest", "{not_utf8}"],
+    "eval-samples-3-residues": ["eval", "--samples", "{short}", "--reference", "{data}",
+                                "--strategy", "head-to-tail", "--per-target", "1"],
+    "eval-reference-3-residues": ["eval", "--samples", "{data}", "--reference", "{short}",
+                                  "--strategy", "head-to-tail", "--per-target", "1"],
 }
 
 
@@ -434,9 +506,12 @@ def test_bad_value_or_file_encoding_is_usage_error(tmp_path, capsys, case):
         "data": tmp_path / "data.jsonl",
         "empty": tmp_path / "empty.jsonl",
         "not_utf8": tmp_path / "not-utf8.txt",
+        "short": tmp_path / "short.jsonl",
     }
     D.save_checkpoint(D.init_params(CF.denoiser_config(cfg), 0), files["ckpt"], run_config=cfg)
     G.write_structures(files["data"], [G.generate_chain(6, seed=0)])
+    G.write_structures(files["short"], [G.GeometricGraph.from_parts(
+        [0, 1, 2], [[0.0, 0, 0], [3.8, 0, 0], [3.8, 3.8, 0]])])
     files["empty"].write_text("")
     files["not_utf8"].write_bytes(NOT_UTF8)
     argv = [a.format(**files) for a in BAD_INPUTS[case]]
@@ -445,6 +520,7 @@ def test_bad_value_or_file_encoding_is_usage_error(tmp_path, capsys, case):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 NON_FINITE_OR_OUT_OF_RANGE = {

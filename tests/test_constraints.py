@@ -128,6 +128,26 @@ def _dist_entry(i, j):
     return (i, j, 3.0 + ((i * 31 + j) % 50) / 10.0)
 
 
+# distances on the 3-decimal grid canonical_text writes
+text_pairs = st.builds(
+    lambda types, dists: C.ConstraintPair(
+        C.TypeConstraint(tuple(types.items())),
+        C.DistanceConstraint(tuple((i, j, k / 1000) for (i, j), k in dists.items())),
+    ),
+    st.dictionaries(st.integers(0, 30), st.integers(0, G.N_TYPES - 1), max_size=5),
+    st.dictionaries(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(lambda p: p[0] < p[1]),
+        st.integers(1, 99_999), max_size=5,
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text_pairs)
+def test_canonical_text_parses_back_to_the_pair(pair):
+    assert C.parse_constraint_text(C.canonical_text(pair)) == pair
+
+
 consistent_pairs = st.builds(
     lambda nodes, pairs: C.ConstraintPair(
         C.TypeConstraint(tuple(_type_entry(i) for i in nodes)),
@@ -302,7 +322,7 @@ class TestCheckSatisfaction:
         g = _graph_with([[0, 0, 0], [3.8, 0, 0], [7.6, 0, 0], [11.4, 0, 0]])
         pair = C.ConstraintPair(dists=C.DistanceConstraint(((0, 6, 3.8),)))
         with pytest.raises(C.ConstraintError):
-            C.check_satisfaction(g, pair)
+            C.check_satisfaction(g, pair, tol=0.5)
 
 
 class TestCanonicalText:

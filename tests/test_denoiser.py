@@ -94,7 +94,6 @@ def test_empty_constrained_subgraph_matches_unadapted_network():
             name: (np.zeros_like(arr) if ".adapter." in name else arr)
             for name, arr in params.arrays.items()
         },
-        trainable=params.trainable,
     )
     ref_inv, ref_eqv = D.predict_noise(params, D.DenoiserInput(inp.latent, no_edges, inp.t))
     got_inv, got_eqv = D.predict_noise(zeroed, inp)
@@ -156,17 +155,10 @@ class TestCountParams:
         b = D.init_params(D.DenoiserConfig(hidden=16, layers=1, t_steps=4), seed=0)
         assert count_params(b) > count_params(a)
 
-    def test_zero_layers_counts_only_tables(self):
-        cfg = D.DenoiserConfig(latent_dim=8, hidden=32, layers=0, t_embed_dim=4, t_steps=6)
-        params = D.init_params(cfg, seed=0)
-        assert count_params(params) == G.N_TYPES * 8 + 6 * 4
 
-
-def test_zero_layer_network_predicts_zero():
-    cfg = D.DenoiserConfig(latent_dim=4, hidden=8, layers=0, t_embed_dim=4, t_steps=6)
-    params, inp = make_input(cfg, seed=8)
-    inv, eqv = D.predict_noise(params, inp)
-    assert not inv.any() and not eqv.any()
+def test_zero_layer_network_rejected():
+    with pytest.raises(ValueError, match="layers"):
+        D.DenoiserConfig(latent_dim=4, hidden=8, layers=0, t_embed_dim=4, t_steps=6)
 
 
 def test_input_validation():

@@ -42,7 +42,7 @@ class TestSchedule:
 
 class TestForwardNoise:
     def setup_method(self):
-        self.codec = G.CodecParams(G.init_embedding_table(4))
+        self.codec = G.CodecParams(G.init_embedding_table(4), coord_scale=0.1)
         self.z0 = G.encode_latent(G.generate_chain(10, seed=1), self.codec)
 
     def test_small_t_stays_near_data(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chain_geometry_ok, random_rotation
 from pepring import graph as G
@@ -7,7 +9,7 @@ from pepring import graph as G
 
 @pytest.fixture
 def codec():
-    return G.CodecParams(table=G.init_embedding_table(8))
+    return G.CodecParams(table=G.init_embedding_table(8), coord_scale=0.1)
 
 
 def test_chain_length_4_seed_7_bond_lengths():
@@ -138,7 +140,7 @@ def test_structure_round_trip(tmp_path):
     assert len(back) == 4
     for a, b in zip(graphs, back):
         assert np.array_equal(a.types, b.types)
-        assert np.array_equal(a.is_context, b.is_context)
+        assert a.n_context == b.n_context
         assert np.allclose(a.coords, b.coords, atol=1e-6)
 
 
@@ -147,6 +149,28 @@ def test_structure_round_trip_byte_stable(tmp_path):
     G.write_structures(p1, [G.generate_chain(7, seed=1)])
     G.write_structures(p2, G.read_structures(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+coordinates = st.floats(-999.0, 999.0, allow_nan=False)
+residues = st.lists(
+    st.tuples(st.integers(0, G.N_TYPES - 1), st.tuples(coordinates, coordinates, coordinates)),
+    max_size=6,
+)
+structures = st.builds(
+    lambda pep, ctx: G.GeometricGraph.from_parts(
+        [t for t, _ in pep], [x for _, x in pep], [t for t, _ in ctx], [x for _, x in ctx]
+    ),
+    residues, residues,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(structures, min_size=1, max_size=4))
+def test_structure_file_text_is_a_fixed_point(graphs):
+    text = "".join(G.format_structure(g) + "\n" for g in graphs)
+    parsed = [G.parse_structure(line, k) for k, line in enumerate(text.splitlines(), start=1)]
+    assert [g.n_context for g in parsed] == [g.n_context for g in graphs]
+    assert "".join(G.format_structure(g) + "\n" for g in parsed) == text
 
 
 def test_structure_two_component_coordinate_rejected(tmp_path):
