@@ -24,7 +24,7 @@ import base64
 import functools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -454,6 +454,11 @@ def load_run_config(path) -> dict:
 def load_checkpoint(path) -> DenoiserParams:
     doc = _read_checkpoint_doc(path)
     try:
+        # a field left out would take its default, which need not be the
+        # value the arrays were trained with
+        missing = sorted({f.name for f in fields(DenoiserConfig)} - set(doc["config"]))
+        if missing:
+            raise ValueError(f"config lacks fields {missing}")
         cfg = DenoiserConfig(**doc["config"])
         arrays = {}
         for name, spec in doc["arrays"].items():

@@ -64,14 +64,8 @@ class DiffusionSchedule:
         object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))
 
     @classmethod
-    def linear(cls, t_steps: int = 200, beta_start: float = 5e-4, beta_end: float = 0.1):
-        """Linear betas whose defaults keep the terminal signal negligible.
-
-        The classic 1e-4..0.02 ramp belongs to a 1000-step process; kept
-        at 200 steps it leaves alpha_bar(T) ~ 0.13, so sampling from a
-        unit Gaussian would start visibly off the forward marginal. The
-        5x-stretched ramp restores alpha_bar(T) ~ 4e-5.
-        """
+    def linear(cls, t_steps: int, beta_start: float, beta_end: float):
+        """`t_steps` betas evenly spaced from `beta_start` to `beta_end`."""
         return cls(np.linspace(beta_start, beta_end, t_steps))
 
     @property

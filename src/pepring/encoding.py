@@ -27,9 +27,9 @@ class RbfSpec:
     Each bump's width matches the center spacing: gamma = 1 / (2 spacing^2).
     """
 
-    channels: int = 32
-    d_min: float = 0.0
-    d_max: float = 20.0
+    channels: int
+    d_min: float
+    d_max: float
 
     def __post_init__(self):
         if self.channels < 2:

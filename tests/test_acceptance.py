@@ -24,7 +24,7 @@ from pepring import graph as G
 from pepring import metrics as M
 from pepring import tensor as T
 
-RBF = E.RbfSpec()
+RBF = D.DenoiserConfig().rbf_spec()
 EXPERIMENT_LENGTH = 12
 SAMPLES_PER_CONDITION = 50
 TOLERANCE = 0.5

@@ -140,6 +140,45 @@ class TestDecompose:
         assert run("decompose", "--strategy", "lasso", "--length", 6) == 2
 
 
+_ALIASES = st.sampled_from(sorted(cli.STRATEGY_ALIASES))
+_PAD = st.text(" \t", max_size=2)
+
+
+@st.composite
+def _strategy_parts(draw):
+    """One `+`-separated strategy part, with the kinds it stands for."""
+    alias = draw(_ALIASES)
+    upper = draw(st.lists(st.booleans(), min_size=len(alias), max_size=len(alias)))
+    name = "".join(c.upper() if up else c for c, up in zip(alias, upper))
+    count = draw(st.none() | st.integers(1, 3))
+    text = name if count is None else f"{count}{draw(_PAD)}*{draw(_PAD)}{name}"
+    return f"{draw(_PAD)}{text}{draw(_PAD)}", [cli.STRATEGY_ALIASES[alias]] * (count or 1)
+
+
+@given(parts=st.lists(_strategy_parts(), min_size=1, max_size=4))
+def test_strategy_expression_expands_in_order(parts):
+    text = "+".join(t for t, _ in parts)
+    assert cli.parse_strategy_kinds(text) == [k for _, kinds in parts for k in kinds]
+
+
+_BAD_PARTS = st.one_of(
+    st.builds("{}*{}".format, st.integers(-3, 0), _ALIASES),
+    st.builds("{}*{}".format, st.sampled_from(["", "x", "1.5", "two", "1e2"]), _ALIASES),
+    st.text("abcxyz- ", max_size=6).filter(
+        lambda name: name.strip().lower() not in cli.STRATEGY_ALIASES
+    ),
+)
+
+
+@given(parts=st.lists(_strategy_parts(), max_size=3), bad=_BAD_PARTS, at=st.integers(0, 3))
+def test_bad_strategy_part_is_usage_error(parts, bad, at):
+    """A count below 1, a count that is no integer, or an unknown name."""
+    texts = [t for t, _ in parts]
+    texts.insert(at, bad)
+    with pytest.raises(cli.UsageError):
+        cli.parse_strategy_kinds("+".join(texts))
+
+
 class TestSample:
     def test_samples_written_with_manifest_echo(self, tmp_path, checkpoint):
         out = tmp_path / "samples"
@@ -248,6 +287,14 @@ class TestSample:
         assert sizes == [2]
 
 
+_MISTYPED_RUN_CONFIG = {
+    "run-config-energy-scale-str": ("energy_scale", "x"),
+    "run-config-t-steps-str": ("t_steps", "5"),
+    "run-config-link-null": ("link_head_tail", None),
+    "run-config-epochs-float": ("epochs", 2.5),
+}
+
+
 def _corrupt_checkpoint(doc, case):
     if case == "no-config":
         del doc["config"]
@@ -262,6 +309,11 @@ def _corrupt_checkpoint(doc, case):
         doc["arrays"]["out_inv.b"]["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
     elif case == "bytes-dtype":
         doc["arrays"]["out_inv.b"]["dtype"] = "|S8"
+    elif case == "config-missing-field":
+        del doc["config"]["coord_scale"]  # no array shape reveals it
+    elif case in _MISTYPED_RUN_CONFIG:
+        key, value = _MISTYPED_RUN_CONFIG[case]
+        doc["run_config"][key] = value
     elif case == "run-config-list":
         doc["run_config"] = list(doc["run_config"])
     elif case == "top-level-list":
@@ -269,9 +321,9 @@ def _corrupt_checkpoint(doc, case):
     return doc
 
 
-@pytest.mark.parametrize("case", ["no-config", "unknown-config-field", "corrupt-array",
-                                  "non-finite-array", "bytes-dtype", "run-config-list",
-                                  "top-level-list"])
+@pytest.mark.parametrize("case", ["no-config", "unknown-config-field", "config-missing-field",
+                                  "corrupt-array", "non-finite-array", "bytes-dtype",
+                                  "run-config-list", *_MISTYPED_RUN_CONFIG, "top-level-list"])
 def test_malformed_checkpoint_is_usage_error(tmp_path, checkpoint, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_corrupt_checkpoint(json.loads(checkpoint.read_text()), case)))
@@ -279,8 +331,8 @@ def test_malformed_checkpoint_is_usage_error(tmp_path, checkpoint, capsys, case)
                "--length", 6, "--out", tmp_path / "s") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if case == "non-finite-array":
-        assert "out_inv.b" in err
+    named = {"non-finite-array": "out_inv.b", "config-missing-field": "coord_scale"}
+    assert named.get(case, "") in err
 
 
 def _exit_code_and_stderr(*argv):

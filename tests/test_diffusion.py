@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import energy_of, fd_gradient, max_rel_err, random_rotation
+from pepring import config as CF
 from pepring import constraints as C
 from pepring import denoiser as D
 from pepring import diffusion as DF
@@ -20,7 +21,7 @@ def toy_schedule():
 
 class TestSchedule:
     def test_linear_defaults(self):
-        s = DF.DiffusionSchedule.linear()
+        s = CF.schedule(CF.resolve())
         assert s.t_steps == 200
         assert s.beta(1) == pytest.approx(5e-4)
         assert s.beta(200) == pytest.approx(0.1)

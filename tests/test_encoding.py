@@ -9,7 +9,7 @@ from pepring import graph as G
 
 @pytest.fixture
 def rbf():
-    return E.RbfSpec()
+    return E.RbfSpec(channels=32, d_min=0.0, d_max=20.0)
 
 
 def test_empty_type_constraint_all_zero():
@@ -64,9 +64,9 @@ def test_rbf_clamps_and_flags(rbf):
 
 def test_rbf_spec_validation():
     with pytest.raises(ValueError):
-        E.RbfSpec(channels=1)
+        E.RbfSpec(channels=1, d_min=0.0, d_max=20.0)
     with pytest.raises(ValueError):
-        E.RbfSpec(d_min=5.0, d_max=5.0)
+        E.RbfSpec(channels=32, d_min=5.0, d_max=5.0)
     # the bump width follows the center spacing (1 A here)
     assert E.RbfSpec(channels=3, d_min=0.0, d_max=2.0).gamma == 0.5
 
