@@ -122,7 +122,12 @@ def _target_from_args(args, length: int, cfg) -> C.ConstraintPair:
     if getattr(args, "constraint_file", None):
         if getattr(args, "strategy", None):
             raise UsageError("give either --strategy or --constraint-file, not both")
-        return C.parse_constraint_text(Path(args.constraint_file).read_text(encoding="utf-8"))
+        target = C.parse_constraint_text(Path(args.constraint_file).read_text(encoding="utf-8"))
+        if target.max_node() >= length:  # a strategy's decomposition checks its own
+            raise C.ConstraintError(
+                f"constraint references node {target.max_node()} but peptide has {length} residues"
+            )
+        return target
     if not getattr(args, "strategy", None):
         raise UsageError("a target needs --strategy or --constraint-file")
     return build_target(args.strategy, args.anchors, length, CF.link_lengths(cfg))
@@ -177,8 +182,9 @@ def _prepare_out(args) -> Path:
 
 
 def cmd_gen_data(args) -> int:
-    if not 4 <= args.len_min <= args.len_max <= 25:
-        raise UsageError("lengths must satisfy 4 <= len-min <= len-max <= 25")
+    lo, hi = G.CHAIN_LENGTH_RANGE
+    if not lo <= args.len_min <= args.len_max <= hi:
+        raise UsageError(f"lengths must satisfy {lo} <= len-min <= len-max <= {hi}")
     if args.count < 1:
         raise UsageError("count must be positive")
     weights = None
@@ -292,20 +298,21 @@ def cmd_sample(args) -> int:
         raise UsageError("--num must be positive")
     if args.workers < 1:
         raise UsageError("--workers must be positive")
-    if not 4 <= args.length <= 25:
-        raise UsageError(f"--length must be in [4, 25], got {args.length}")
+    lo, hi = G.CHAIN_LENGTH_RANGE
+    if not lo <= args.length <= hi:
+        raise UsageError(f"--length must be in [{lo}, {hi}], got {args.length}")
     params = D.load_checkpoint(args.checkpoint)
-    cfg = CF.resolve(
-        D.load_run_config(args.checkpoint),
-        CF.parse_overrides(getattr(args, "set", None)),
-    )
+    trained = CF.resolve(D.load_run_config(args.checkpoint))
+    cfg = CF.resolve(trained, CF.parse_overrides(getattr(args, "set", None)))
     target = _target_from_args(args, args.length, cfg)
     guidance = CF.guidance_config(cfg, mode=args.mode, weight=args.w)
     schedule = CF.schedule(cfg)
     net = CF.denoiser_config(cfg)
-    if net != params.config:
-        differ = [k for k, v in asdict(net).items() if v != getattr(params.config, k)]
-        raise UsageError(f"config keys {differ} differ from the checkpoint's network")
+    # the network and the noise schedule it was trained on
+    differ = [k for k, v in asdict(net).items() if v != getattr(params.config, k)]
+    differ += [k for k in ("beta_start", "beta_end") if cfg[k] != trained[k]]
+    if differ:
+        raise UsageError(f"config keys {differ} differ from the checkpoint's training run")
     out = _prepare_out(args)
     started = _utc_now()
     extra = {"target_constraint": C.canonical_text(target).splitlines()}

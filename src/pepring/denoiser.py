@@ -50,8 +50,12 @@ class DenoiserConfig:
     embed_scale: float | None = None
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.hidden < 1 or self.layers < 1:
-            raise ValueError("latent_dim, hidden and layers must be >= 1")
+        if not 2 <= self.latent_dim <= N_TYPES:
+            # one dimension cannot separate the type embeddings, and a
+            # table of N_TYPES rows spans at most N_TYPES
+            raise ValueError(f"latent_dim must be in [2, {N_TYPES}], got {self.latent_dim}")
+        if self.hidden < 1 or self.layers < 1:
+            raise ValueError("hidden and layers must be >= 1")
         if self.t_embed_dim % 2:
             raise ValueError("t_embed_dim must be even")
         if self.t_steps < 1:
@@ -184,11 +188,7 @@ class DenoiserBatch:
             node_signal=np.concatenate([s.node_signal for s in sigs]),
             edges=np.concatenate([s.edges + o for s, o in zip(sigs, self.offsets)]),
             edge_dist=np.concatenate([s.edge_dist for s in sigs]),
-            # an edgeless signal's RBF rows have shape [0, 0]
-            edge_rbf=np.concatenate(
-                [s.edge_rbf for s in sigs if len(s.edges)] or [np.zeros((0, 0))]
-            ),
-            any_clamped=any(s.any_clamped for s in sigs),
+            edge_rbf=np.concatenate([s.edge_rbf for s in sigs]),
         )
 
 
@@ -398,17 +398,17 @@ def predict_noise(params: DenoiserParams,
     return out_inv.value, out_eqv.value
 
 
-def save_checkpoint(params: DenoiserParams, path, run_config: dict | None = None) -> None:
+def save_checkpoint(params: DenoiserParams, path, run_config: dict) -> None:
     """Self-describing JSON container; float64 payloads are bit-exact.
 
-    `run_config` may carry the resolved flat configuration of the
-    producing run so downstream commands can rebuild the matching noise
-    schedule without guessing.
+    `run_config` carries the resolved flat configuration of the producing
+    run so downstream commands can rebuild the matching noise schedule
+    without guessing.
     """
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": asdict(params.config),
-        "run_config": dict(run_config or {}),
+        "run_config": dict(run_config),
         # derived from the layout: written for readers, never read back
         "trainable": list(params.trainable),
         "arrays": {

@@ -33,8 +33,8 @@ from .denoiser import (
     predict_noise,
     trace_noise_prediction,
 )
-from .encoding import encode_pair, unconditional
-from .graph import GeometricGraph, LatentGraph, decode_latent, encode_latent
+from .encoding import encode_pair
+from .graph import CHAIN_LENGTH_RANGE, GeometricGraph, LatentGraph, decode_latent, encode_latent
 
 GUIDANCE_MODES = ("cfg", "energy", "none")
 
@@ -202,10 +202,10 @@ TAPE_EDGE_ROWS = 1024
 
 def _tape_groups(examples):
     """Consecutive runs of training examples, one run per tape; an example
-    is (graph index, constraint pair, input, eps_inv, eps_eqv)."""
+    is (graph index, input, eps_inv, eps_eqv)."""
     group, rows = [], 0
     for ex in examples:
-        inp = ex[2]
+        inp = ex[1]
         size = inp.latent.n_nodes + inp.n_context
         need = size * (size - 1)  # dense-pass edge rows
         if group and rows + need > TAPE_EDGE_ROWS:
@@ -234,7 +234,7 @@ def _training_example(g, params, schedule, cfg, rbf, rng):
         context_types=g.context_types if g.n_context else None,
         context_coords=g.context_coords if g.n_context else None,
     )
-    return dropped, inp, eps_inv, eps_eqv
+    return inp, eps_inv, eps_eqv
 
 
 def train(
@@ -242,7 +242,6 @@ def train(
     cfg: TrainConfig,
     schedule: DiffusionSchedule,
     net: DenoiserConfig,
-    observer=None,
 ) -> tuple[DenoiserParams, list[float]]:
     """Noise-prediction training with constraint dropout.
 
@@ -277,7 +276,7 @@ def train(
             ]
             grads = {n: np.zeros_like(params.arrays[n]) for n in trainable}
             for group in _tape_groups(examples):
-                graphs, pairs, inputs, eps_inv, eps_eqv = zip(*group)
+                graphs, inputs, eps_inv, eps_eqv = zip(*group)
                 tape = T.Tape()
                 pvars = {
                     n: (tape.leaf(a) if n in trainable else tape.constant(a))
@@ -298,15 +297,8 @@ def train(
                 adjoints = T.backward(tape, T.scale(loss, 1.0 / len(batch)))
                 for n in trainable:
                     grads[n] += T.gradient(adjoints, pvars[n])
-                for pair, inp, value in zip(pairs, inputs, group_losses):
-                    losses.append(value)
-                    if observer is not None:
-                        observer({
-                            "epoch": epoch, "step": step, "t": inp.t, "loss": value,
-                            "n_type_entries": len(pair.types.entries),
-                            "n_dist_entries": len(pair.dists.entries),
-                        })
-                    step += 1
+                losses.extend(group_losses)
+                step += len(group)
             opt.step(grads)
         epoch_losses.append(float(np.mean(losses)))
     return params, epoch_losses
@@ -392,18 +384,18 @@ def sample(
     schedule: DiffusionSchedule,
     rng: np.random.Generator,
     context: GeometricGraph | None = None,
-    noise=None,
 ) -> GeometricGraph:
     """Reverse diffusion toward a constraint target.
 
-    `noise` may override the Gaussian source (a callable shape -> array);
-    the default draws from `rng`. All nodes of `context`, when given, are
-    treated as fixed conditioning nodes. Each reverse step is bounded by
-    `LATENT_CLIP`, which is inactive on healthy trajectories.
+    Every Gaussian draw comes from `rng.standard_normal`. All nodes of
+    `context`, when given, are treated as fixed conditioning nodes. Each
+    reverse step is bounded by `LATENT_CLIP`, which is inactive on
+    healthy trajectories.
     """
     cfg = params.config
-    if not 4 <= n_residues <= 25:
-        raise ValueError(f"n_residues must be in [4, 25], got {n_residues}")
+    lo, hi = CHAIN_LENGTH_RANGE
+    if not lo <= n_residues <= hi:
+        raise ValueError(f"n_residues must be in [{lo}, {hi}], got {n_residues}")
     if target.max_node() >= n_residues:
         raise ValueError(
             f"constraint references node {target.max_node()}, chain has {n_residues}"
@@ -412,10 +404,9 @@ def sample(
         raise ValueError(
             f"network expects {cfg.t_steps} steps, schedule has {schedule.t_steps}"
         )
-    if noise is None:
-        noise = rng.standard_normal
-    signals_cond = encode_pair(target, n_residues, cfg.rbf_spec())
-    signals_uncond = unconditional(n_residues)
+    rbf = cfg.rbf_spec()
+    signals_cond = encode_pair(target, n_residues, rbf)
+    signals_uncond = encode_pair(EMPTY_PAIR, n_residues, rbf)
     if context is not None and context.n_total:
         ctx = (context.types, context.coords)
         center = context.coords.mean(axis=0)
@@ -424,8 +415,8 @@ def sample(
         center = np.zeros(3)
 
     z = LatentGraph(
-        inv=noise((n_residues, cfg.latent_dim)),
-        eqv=_centered(noise((n_residues, 3))),
+        inv=rng.standard_normal((n_residues, cfg.latent_dim)),
+        eqv=_centered(rng.standard_normal((n_residues, 3))),
         center=center,
     )
     for t in range(schedule.t_steps, 0, -1):
@@ -439,8 +430,8 @@ def sample(
         eqv_mean = (z.eqv - scale_eps * eps_eqv) / math.sqrt(1.0 - beta)
         if t > 1:
             sigma = math.sqrt((1.0 - a_bar_prev) / (1.0 - a_bar) * beta)
-            inv_mean = inv_mean + sigma * noise(z.inv.shape)
-            eqv_mean = eqv_mean + sigma * _centered(noise(z.eqv.shape))
+            inv_mean = inv_mean + sigma * rng.standard_normal(z.inv.shape)
+            eqv_mean = eqv_mean + sigma * _centered(rng.standard_normal(z.eqv.shape))
         if not (np.all(np.isfinite(inv_mean)) and np.all(np.isfinite(eqv_mean))):
             raise RuntimeError(f"non-finite latent at reverse step {t}")
         inv_mean = np.clip(inv_mean, -LATENT_CLIP, LATENT_CLIP)

@@ -12,7 +12,7 @@ signals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,16 +48,14 @@ class RbfSpec:
     def centers(self) -> np.ndarray:
         return self._centers
 
-    def lift(self, distance) -> tuple[np.ndarray, bool]:
+    def lift(self, distance) -> np.ndarray:
         """RBF rows for distances, [...] -> [..., channels].
 
-        Out-of-range distances are clamped into [d_min, d_max]; the flag
-        says whether any was.
+        Out-of-range distances are clamped into [d_min, d_max].
         """
         d = np.asarray(distance, dtype=np.float64)
-        clamped = bool(np.any((d < self.d_min) | (d > self.d_max)))
         delta = np.clip(d, self.d_min, self.d_max)[..., None] - self.centers
-        return np.exp(-self.gamma * (delta * delta)), clamped
+        return np.exp(-self.gamma * (delta * delta))
 
 
 @dataclass(frozen=True)
@@ -70,10 +68,9 @@ class ControlSignals:
     """
 
     node_signal: np.ndarray  # [n, N_TYPES]
-    edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))  # [E, 2]
-    edge_dist: np.ndarray = field(default_factory=lambda: np.zeros(0))  # [E]
-    edge_rbf: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))  # [E, C]
-    any_clamped: bool = False
+    edges: np.ndarray  # [E, 2]
+    edge_dist: np.ndarray  # [E]
+    edge_rbf: np.ndarray  # [E, C]
 
     @property
     def n_nodes(self) -> int:
@@ -91,21 +88,15 @@ def encode_type(c: TypeConstraint, n_nodes: int) -> np.ndarray:
 
 
 def encode_pair(pair: ConstraintPair, n_nodes: int, spec: RbfSpec) -> ControlSignals:
-    """Joint signal; an empty side contributes its unconditional form."""
+    """Joint signal; an empty side contributes its unconditional form, so
+    `EMPTY_PAIR` gives zero node rows and no edges."""
     for i, j in pair.dists.pairs():
         if j >= n_nodes:
             raise ValueError(f"distance constraint pair ({i},{j}) outside graph of {n_nodes}")
     dist = np.array([d for _, _, d in pair.dists.entries], dtype=np.float64)
-    edge_rbf, any_clamped = spec.lift(dist)
     return ControlSignals(
         node_signal=encode_type(pair.types, n_nodes),
         edges=np.array(pair.dists.pairs(), dtype=np.int64).reshape(-1, 2),
         edge_dist=np.clip(dist, spec.d_min, spec.d_max),
-        edge_rbf=edge_rbf,
-        any_clamped=any_clamped,
+        edge_rbf=spec.lift(dist),
     )
-
-
-def unconditional(n_nodes: int) -> ControlSignals:
-    """The signal fed to the no-constraint branch: zero rows, no edges."""
-    return ControlSignals(node_signal=np.zeros((n_nodes, N_TYPES)))

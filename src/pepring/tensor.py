@@ -283,7 +283,7 @@ def norm(x: Var) -> Var:
     return x.tape._record("norm", out, (x,), vjp)
 
 
-def concat(parts: Sequence[Var], axis: int = -1) -> Var:
+def concat(parts: Sequence[Var], axis: int) -> Var:
     if not parts:
         raise ShapeError("concat: needs at least one operand")
     tape = _same_tape("concat", *parts)

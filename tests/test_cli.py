@@ -520,6 +520,8 @@ BAD_INPUTS = {
     "train-odd-t-embed": ["train", "--data", "{data}", "--set", "t_embed_dim=3"],
     "train-one-rbf-channel": ["train", "--data", "{data}", "--set", "rbf_channels=1"],
     "train-beta-end-2": ["train", "--data", "{data}", "--set", "beta_end=2"],
+    "train-latent-dim-1": ["train", "--data", "{data}", "--set", "latent_dim=1"],
+    "train-latent-dim-21": ["train", "--data", "{data}", "--set", "latent_dim=21"],
     "train-p-drop-2": ["train", "--data", "{data}", "--set", "p_drop_type=2"],
     "train-empty-data": ["train", "--data", "{empty}"],
     "train-config-not-utf8": ["train", "--data", "{data}", "--config", "{not_utf8}"],
@@ -535,8 +537,16 @@ BAD_INPUTS = {
     "sample-hidden-override": ["sample", "--checkpoint", "{ckpt}", "--strategy",
                                "head-to-tail", "--length", "8", "--set", "hidden=64",
                                "--set", "rbf_channels=8"],
+    "sample-beta-end-override": ["sample", "--checkpoint", "{ckpt}", "--strategy",
+                                 "head-to-tail", "--length", "8", "--set", "beta_end=0.5"],
     "sample-constraint-file-not-utf8": ["sample", "--checkpoint", "{ckpt}",
                                         "--constraint-file", "{not_utf8}", "--length", "8"],
+    "sample-constraint-file-dist-past-length": ["sample", "--checkpoint", "{ckpt}",
+                                                "--constraint-file", "{far_dist}",
+                                                "--length", "8"],
+    "sample-constraint-file-type-past-length": ["sample", "--checkpoint", "{ckpt}",
+                                                "--constraint-file", "{far_type}",
+                                                "--length", "8"],
     "sample-checkpoint-not-utf8": ["sample", "--checkpoint", "{not_utf8}", "--strategy",
                                    "head-to-tail", "--length", "8"],
     "gen-data-weights-not-numbers": ["gen-data", "--count", "2", "--type-weights", "a,b"],
@@ -559,6 +569,8 @@ def test_bad_value_or_file_encoding_is_usage_error(tmp_path, capsys, case):
         "empty": tmp_path / "empty.jsonl",
         "not_utf8": tmp_path / "not-utf8.txt",
         "short": tmp_path / "short.jsonl",
+        "far_dist": tmp_path / "far-dist.txt",
+        "far_type": tmp_path / "far-type.txt",
     }
     D.save_checkpoint(D.init_params(CF.denoiser_config(cfg), 0), files["ckpt"], run_config=cfg)
     G.write_structures(files["data"], [G.generate_chain(6, seed=0)])
@@ -566,6 +578,8 @@ def test_bad_value_or_file_encoding_is_usage_error(tmp_path, capsys, case):
         [0, 1, 2], [[0.0, 0, 0], [3.8, 0, 0], [3.8, 3.8, 0]])])
     files["empty"].write_text("")
     files["not_utf8"].write_bytes(NOT_UTF8)
+    files["far_dist"].write_text("dist 0 11 3.8\n")
+    files["far_type"].write_text("type 9 C\n")
     argv = [a.format(**files) for a in BAD_INPUTS[case]]
     if argv[0] != "rerun":
         argv += ["--out", str(tmp_path / "out")]

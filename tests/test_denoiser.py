@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,6 @@ def test_permutation_equivariance():
     old = inp.signals
     signals = E.ControlSignals(
         old.node_signal[perm], np.sort(where[old.edges], axis=1), old.edge_dist, old.edge_rbf,
-        old.any_clamped,
     )
     inv1, eqv1 = D.predict_noise(params, D.DenoiserInput(permuted_latent, signals, inp.t))
     assert np.allclose(inv1, inv0[perm], atol=1e-9)
@@ -87,7 +88,9 @@ def test_permutation_equivariance():
 def test_empty_constrained_subgraph_matches_unadapted_network():
     params, inp = make_input(SMALL, seed=5, with_edges=True)
     assert len(inp.signals.edges)  # the draw above must actually constrain something
-    no_edges = E.ControlSignals(inp.signals.node_signal)
+    sig = inp.signals
+    no_edges = replace(sig, edges=sig.edges[:0], edge_dist=sig.edge_dist[:0],
+                       edge_rbf=sig.edge_rbf[:0])
     zeroed = D.DenoiserParams(
         config=params.config,
         arrays={
@@ -103,7 +106,9 @@ def test_empty_constrained_subgraph_matches_unadapted_network():
 
 def test_conditioning_is_live():
     params, inp = make_input(SMALL, seed=6)
-    silenced = D.DenoiserInput(inp.latent, E.unconditional(inp.latent.n_nodes), inp.t)
+    silenced = D.DenoiserInput(
+        inp.latent, E.encode_pair(C.EMPTY_PAIR, inp.latent.n_nodes, SMALL.rbf_spec()), inp.t
+    )
     inv0, eqv0 = D.predict_noise(params, inp)
     inv1, eqv1 = D.predict_noise(params, silenced)
     assert np.max(np.abs(inv1 - inv0)) > 0 or np.max(np.abs(eqv1 - eqv0)) > 0
@@ -114,7 +119,7 @@ def test_node_signal_row_changes_output():
     sig = inp.signals.node_signal.copy()
     sig[0] = 0.0
     sig[0, G.CYS] = 1.0 - inp.signals.node_signal[0, G.CYS]
-    other = D.DenoiserInput(inp.latent, E.ControlSignals(sig), inp.t)
+    other = D.DenoiserInput(inp.latent, replace(inp.signals, node_signal=sig), inp.t)
     inv0, _ = D.predict_noise(params, inp)
     inv1, _ = D.predict_noise(params, other)
     assert np.max(np.abs(inv1 - inv0)) > 0
@@ -165,7 +170,7 @@ def test_input_validation():
     params, inp = make_input(SMALL, seed=9)
     with pytest.raises(ValueError):
         D.predict_noise(params, D.DenoiserInput(inp.latent, inp.signals, t=0))
-    bad = E.unconditional(inp.latent.n_nodes + 1)
+    bad = E.encode_pair(C.EMPTY_PAIR, inp.latent.n_nodes + 1, SMALL.rbf_spec())
     with pytest.raises(T.ShapeError):
         D.predict_noise(params, D.DenoiserInput(inp.latent, bad, inp.t))
 
@@ -173,7 +178,7 @@ def test_input_validation():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params, _ = make_input(SMALL, seed=10)
     path = tmp_path / "model.json"
-    D.save_checkpoint(params, path)
+    D.save_checkpoint(params, path, {})
     loaded = D.load_checkpoint(path)
     assert loaded.config == params.config
     assert loaded.trainable == params.trainable
@@ -181,7 +186,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for name in params.arrays:
         assert np.array_equal(loaded.arrays[name], params.arrays[name])
     path2 = tmp_path / "again.json"
-    D.save_checkpoint(loaded, path2)
+    D.save_checkpoint(loaded, path2, {})
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -235,9 +240,12 @@ def test_union_matches_each_graph_alone(cfg):
     params, constrained = make_input(cfg, seed=21, n=12)
     _, free = make_input(cfg, seed=22, n=8, with_edges=False)
     _, with_ctx = make_input(cfg, seed=23, n=10, with_context=True)
+    _, blank = make_input(cfg, seed=24, n=9)
+    blank = replace(blank, signals=E.encode_pair(C.EMPTY_PAIR, 9, cfg.rbf_spec()))
     assert len(constrained.signals.edges) and not len(free.signals.edges)
     assert with_ctx.n_context == 3
-    inputs = [constrained, free, with_ctx]
+    assert blank.signals.edge_rbf.shape == (0, cfg.rbf_channels)
+    inputs = [constrained, blank, free, with_ctx]
     batch = D.DenoiserBatch(inputs)
     assert len(batch.signals.edges) == len(constrained.signals.edges) + len(with_ctx.signals.edges)
     union_inv, union_eqv = D.predict_noise(params, batch)

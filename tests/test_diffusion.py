@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -205,34 +207,43 @@ def tiny_dataset(n_graphs=3, length=8):
     return [G.generate_chain(length, seed=s) for s in range(n_graphs)]
 
 
+def spy_on_noise_loss(monkeypatch):
+    """The list of (batch, example losses) of every `noise_loss` call."""
+    calls = []
+    real = DF.noise_loss
+
+    def spy(tape, pvars, params, inp, eps_inv, eps_eqv, example_losses=None):
+        loss = real(tape, pvars, params, inp, eps_inv, eps_eqv, example_losses)
+        calls.append((inp, example_losses))
+        return loss
+
+    monkeypatch.setattr(DF, "noise_loss", spy)
+    return calls
+
+
 class TestTrain:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             DF.train([], DF.TrainConfig(), toy_schedule(), TOY_NET)
 
     def test_overfit_single_graph_loss_decreases(self):
-        losses = []
         cfg = DF.TrainConfig(
             learning_rate=3e-3, batch_size=1, epochs=200, seed=5,
             p_drop_type=0.2, p_drop_dist=0.2,
         )
-        DF.train(
-            tiny_dataset(1), cfg, toy_schedule(), TOY_NET,
-            observer=lambda info: losses.append(info["loss"]),
-        )
+        # one graph in batches of one: each epoch's loss is one example's
+        _, losses = DF.train(tiny_dataset(1), cfg, toy_schedule(), TOY_NET)
         assert len(losses) == 200
         assert np.mean(losses[-50:]) < np.mean(losses[:50])
 
-    def test_full_dropout_means_unconditional_every_step(self):
-        seen = []
+    def test_full_dropout_means_unconditional_every_step(self, monkeypatch):
+        calls = spy_on_noise_loss(monkeypatch)
         cfg = DF.TrainConfig(p_drop_type=1.0, p_drop_dist=1.0, epochs=2, batch_size=2, seed=1)
-        DF.train(
-            tiny_dataset(4), cfg, toy_schedule(), TOY_NET,
-            observer=lambda info: seen.append(
-                (info["n_type_entries"], info["n_dist_entries"])
-            ),
-        )
-        assert seen and all(entry == (0, 0) for entry in seen)
+        DF.train(tiny_dataset(4), cfg, toy_schedule(), TOY_NET)
+        assert sum(len(losses) for _, losses in calls) == 8  # 4 examples, 2 epochs
+        for batch, _ in calls:
+            assert not batch.signals.node_signal.any()
+            assert batch.signals.edges.shape == (0, 2)
 
     def test_training_is_deterministic(self):
         cfg = DF.TrainConfig(epochs=2, batch_size=2, seed=9)
@@ -263,18 +274,21 @@ def mixed_minibatch():
 
 
 def one_training_step(monkeypatch, data, seed=4):
-    """(gradient handed to AdamW, observer records) of one train step
-    over all of `data`, and each example's (loss, gradient) on a tape
-    of its own, drawn as train draws them."""
+    """(gradient handed to AdamW, example losses in the order `noise_loss`
+    reported them, train's epoch losses) of one train step over all of
+    `data`, and each example's (loss, gradient) on a tape of its own,
+    drawn as train draws them."""
     cfg = DF.TrainConfig(batch_size=len(data), epochs=1, seed=seed)
-    stepped, records = [], []
+    stepped = []
     monkeypatch.setattr(DF.AdamW, "step", lambda self, grads: stepped.append(grads))
-    DF.train(data, cfg, toy_schedule(), TOY_NET, observer=records.append)
+    calls = spy_on_noise_loss(monkeypatch)
+    _, epoch_losses = DF.train(data, cfg, toy_schedule(), TOY_NET)
+    reported = [value for _, losses in calls for value in losses]
     rng = np.random.default_rng(cfg.seed)
     params = D.init_params(TOY_NET, seed=cfg.seed)
     alone = []
     for idx in rng.permutation(len(data)):
-        _, inp, eps_inv, eps_eqv = DF._training_example(
+        inp, eps_inv, eps_eqv = DF._training_example(
             data[idx], params, toy_schedule(), cfg, TOY_NET.rbf_spec(), rng
         )
         tape = T.Tape()
@@ -285,22 +299,23 @@ def one_training_step(monkeypatch, data, seed=4):
         alone.append((float(loss.value),
                       {n: T.gradient(adjoints, pvars[n]) for n in params.trainable}))
     (grads,) = stepped
-    return grads, records, alone
+    return grads, reported, epoch_losses, alone
 
 
 class TestMinibatchTapes:
     def test_gradient_is_mean_of_per_example_gradients(self, monkeypatch):
-        grads, _, alone = one_training_step(monkeypatch, mixed_minibatch())
+        grads, _, _, alone = one_training_step(monkeypatch, mixed_minibatch())
         for name, got in grads.items():
             want = np.mean([g[name] for _, g in alone], axis=0)
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300), name
 
-    def test_observer_gets_each_example_loss(self, monkeypatch):
+    def test_each_example_loss_matches_its_own_tape(self, monkeypatch):
         data = mixed_minibatch()
-        _, records, alone = one_training_step(monkeypatch, data)
-        assert [r["step"] for r in records] == list(range(len(data)))
-        for record, (loss, _) in zip(records, alone):
-            assert abs(record["loss"] - loss) <= 1e-12 * loss
+        _, reported, epoch_losses, alone = one_training_step(monkeypatch, data)
+        assert len(reported) == len(data)
+        assert epoch_losses == [float(np.mean(reported))]
+        for value, (loss, _) in zip(reported, alone):
+            assert abs(value - loss) <= 1e-12 * loss
 
 
 class TestSample:
@@ -375,7 +390,7 @@ class TestSample:
 
         out1 = DF.sample(
             params, target, 8, DF.GuidanceConfig("cfg", weight=1.0),
-            toy_schedule(), np.random.default_rng(0), context=ctx, noise=recording,
+            toy_schedule(), SimpleNamespace(standard_normal=recording), context=ctx,
         )
         rot = random_rotation(np.random.default_rng(16))
         shift = np.array([4.0, -2.0, 9.0])
@@ -389,7 +404,7 @@ class TestSample:
 
         out2 = DF.sample(
             params, target, 8, DF.GuidanceConfig("cfg", weight=1.0),
-            toy_schedule(), np.random.default_rng(0), context=moved_ctx, noise=rotated,
+            toy_schedule(), SimpleNamespace(standard_normal=rotated), context=moved_ctx,
         )
         expected = out1.peptide_coords @ rot.T + shift
         assert np.max(np.abs(out2.peptide_coords - expected)) < 1e-6

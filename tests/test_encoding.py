@@ -34,32 +34,30 @@ def test_rows_are_one_hot_or_zero():
 
 
 def test_rbf_center_hit_is_one(rbf):
-    vec, clamped = rbf.lift(float(rbf.centers[5]))
+    vec = rbf.lift(float(rbf.centers[5]))
     assert vec[5] == pytest.approx(1.0, abs=0)
-    assert not clamped
 
 
 def test_rbf_matches_direct_formula(rbf):
     d = 5.0
-    vec, _ = rbf.lift(d)
+    vec = rbf.lift(d)
     direct = np.array([np.exp(-rbf.gamma * (d - mu) ** 2) for mu in rbf.centers])
     assert np.allclose(vec, direct, atol=0, rtol=1e-14)
     assert vec.shape == (32,)
 
 
 def test_rbf_nearby_distances_distinguished(rbf):
-    v1, _ = rbf.lift(4.0)
-    v2, _ = rbf.lift(4.01)
+    v1 = rbf.lift(4.0)
+    v2 = rbf.lift(4.01)
     assert np.max(np.abs(v1 - v2)) > 0
 
 
-def test_rbf_clamps_and_flags(rbf):
-    vec, clamped = rbf.lift(25.0)
-    edge, _ = rbf.lift(rbf.d_max)
-    assert clamped
-    assert np.array_equal(vec, edge)
+def test_rbf_clamps_out_of_range(rbf):
+    edge = rbf.lift(rbf.d_max)
+    assert np.array_equal(rbf.lift(25.0), edge)
+    assert np.array_equal(rbf.lift(-1.0), rbf.lift(rbf.d_min))
     pair = C.ConstraintPair(dists=C.DistanceConstraint(((0, 2, 25.0),)))
-    assert E.encode_pair(pair, 4, rbf).any_clamped
+    assert np.array_equal(E.encode_pair(pair, 4, rbf).edge_rbf, [edge])
 
 
 def test_rbf_spec_validation():
@@ -89,20 +87,15 @@ def test_encode_pair_edge_arrays_are_exact(rbf):
     assert sig.edge_dist.tolist() == [3.8, 20.0, 5.5, 4.123456789]
     assert sig.edge_rbf.shape == (4, rbf.channels)
     for row, (_, _, d) in zip(sig.edge_rbf, pair.dists.entries):
-        assert np.array_equal(row, rbf.lift(d)[0])
-    assert sig.any_clamped
-    in_range = C.ConstraintPair(dists=C.DistanceConstraint(((0, 5, 3.8),)))
-    assert not E.encode_pair(in_range, 10, rbf).any_clamped
+        assert np.array_equal(row, rbf.lift(d))
 
 
 def test_empty_pair_is_unconditional(rbf):
     sig = E.encode_pair(C.EMPTY_PAIR, 7, rbf)
-    base = E.unconditional(7)
-    assert not sig.node_signal.any() and len(sig.edges) == 0
-    assert np.array_equal(sig.node_signal, base.node_signal)
-    assert np.array_equal(sig.edges, base.edges)
-    assert not sig.any_clamped and not base.any_clamped
-    assert linf_distance(sig, base) == 0.0
+    assert sig.node_signal.shape == (7, G.N_TYPES) and not sig.node_signal.any()
+    assert sig.edges.shape == (0, 2) and sig.edges.dtype == np.int64
+    assert sig.edge_dist.shape == (0,)
+    assert sig.edge_rbf.shape == (0, rbf.channels)
 
 
 def test_encoding_ignores_coordinates(rbf):
